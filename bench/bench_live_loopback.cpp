@@ -16,7 +16,7 @@
 #include <iostream>
 #include <string>
 
-#include "net/live_cluster.h"
+#include "scale/sharded_live.h"
 #include "util/table.h"
 
 namespace {
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     if (!trace_out.empty())
       cfg.trace_out = trace_out + "." + core::policy_label(policy);
     std::cerr << "live run: " << core::policy_label(policy) << "...\n";
-    const net::LiveRunResult r = net::run_live(cfg);
+    const net::LiveRunResult r = scale::run_live_sharded(cfg);
     if (!r.started) {
       std::cerr << core::policy_label(policy) << ": setup failed\n";
       ok = false;

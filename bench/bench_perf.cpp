@@ -27,7 +27,7 @@
 #include "core/experiment.h"
 #include "core/perf_report.h"
 #include "logmining/popularity.h"
-#include "net/live_cluster.h"
+#include "scale/sharded_live.h"
 #include "simcore/event_queue.h"
 #include "trace/models.h"
 #include "util/inplace_function.h"
@@ -235,14 +235,14 @@ core::PerfScenario run_live_scenario(const std::string& name,
   core::PerfScenario s;
   s.name = name;
   s.mode = "optimized";
-  s.shards = 1;  // run_live is always a single distributor shard
+  s.shards = 1;
   std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
   net::LiveConfig config = live_config();
   config.trace_sample_rate = trace_sample_rate;
   const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
   s.t_start_ms = core::unix_now_ms();
-  const net::LiveRunResult result = net::run_live(config);
+  const net::LiveRunResult result = scale::run_live_sharded(config);
   s.t_end_ms = core::unix_now_ms();
   s.allocations =
       g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
@@ -314,7 +314,7 @@ LivePrefetchCell run_live_prefetch_cell(const std::string& name,
   }
   const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
   s.t_start_ms = core::unix_now_ms();
-  const net::LiveRunResult result = net::run_live(config);
+  const net::LiveRunResult result = scale::run_live_sharded(config);
   s.t_end_ms = core::unix_now_ms();
   s.allocations = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
 

@@ -1,10 +1,11 @@
 // prord_live — the live loopback cluster (docs/LIVE_CLUSTER.md).
 //
-// Runs the real-socket prototype: one epoll distributor, N back-end
-// worker threads serving the synthetic site from in-memory caches, and a
-// trace-replay load generator, all over 127.0.0.1. Routing goes through
-// the same core::RoutingCore + DistributionPolicy objects the simulator
-// uses.
+// Runs the real-socket prototype through scale::run_live_sharded: an
+// epoll distributor front end (one shard unless --shards says more), N
+// back-end worker threads serving the synthetic site from in-memory
+// caches, and a trace-replay load generator, all over 127.0.0.1. Routing
+// goes through the same core::RoutingCore + DistributionPolicy objects
+// the simulator uses.
 //
 //   prord_live [--policy wrr|lard|ext-lard|press|prord|lard-bundle|all]  (repeatable)
 //              [--trace cs-dept|worldcup98|synthetic | --clf FILE |
@@ -24,8 +25,9 @@
 // --requests N cycles the trace until N requests have been issued
 // (0 = one pass). --duration-s caps a run by wall time via the idle
 // timeout only; the primary budget is request-count. Exits non-zero if
-// any run fails request conservation (completed + failed != issued) or
-// serves zero throughput.
+// any run fails request conservation (completed + failed != issued, or
+// issued != parsed != answered across the front end's shards) or serves
+// zero throughput.
 //
 // Observability (docs/OBSERVABILITY.md): --trace-sample-rate R traces a
 // deterministic R fraction of forwarded requests hop-by-hop; --trace-out
@@ -41,12 +43,11 @@
 // from client accounting; the summary reports issued/hit/wasted.
 //
 // Sharded front end (docs/SCALING.md): --shards N runs N distributor
-// shards behind one port via scale::run_live_sharded — SO_REUSEPORT when
-// the kernel has it, accept handoff otherwise (--no-reuseport forces the
-// handoff path). --gossip-ms sets the load-gossip cadence between shard
-// beliefs; --load-threads sizes the client side (0 = one per shard). The
-// summary prints a per-shard table and the run fails if conservation
-// across shards breaks.
+// shards behind one port — SO_REUSEPORT when the kernel has it, accept
+// handoff otherwise (--no-reuseport forces the handoff path). --gossip-ms
+// sets the load-gossip cadence between shard beliefs; --load-threads
+// sizes the client side (0 = one per shard). With more than one shard the
+// summary prints a per-shard table.
 //
 // Examples:
 //   prord_live --policy prord --backends 4 --requests 100000
@@ -62,7 +63,6 @@
 #include <string>
 #include <vector>
 
-#include "net/live_cluster.h"
 #include "obs/flight_recorder.h"
 #include "scale/sharded_live.h"
 #include "util/table.h"
@@ -281,9 +281,7 @@ int main(int argc, char** argv) {
     std::cerr << "running " << core::policy_label(policy) << " ("
               << cfg.requests << " requests, " << cfg.backends
               << " backends)...\n";
-    const net::LiveRunResult r = cfg.shards > 1
-                                     ? scale::run_live_sharded(cfg)
-                                     : net::run_live(cfg);
+    const net::LiveRunResult r = scale::run_live_sharded(cfg);
     if (!r.started) {
       std::cerr << core::policy_label(policy) << ": setup failed\n";
       ok = false;
@@ -307,9 +305,15 @@ int main(int argc, char** argv) {
                 << ")\n";
       ok = false;
     }
+    // Conservation across shards: every issued request was parsed by
+    // exactly one shard and answered.
+    if (!r.shard_conserved()) {
+      std::cerr << r.policy
+                << ": conservation across shards violated (issued="
+                << l.issued << " parsed=" << r.dist_requests << ")\n";
+      ok = false;
+    }
     if (r.shard_count > 1) {
-      // Per-shard ledger + conservation across shards: every issued
-      // request was parsed by exactly one shard and answered.
       util::Table st({"shard", "requests", "responses", "accepts", "adopted",
                       "routed", "gossip-pub", "gossip-merge"});
       for (const auto& s : r.shards)
@@ -322,12 +326,6 @@ int main(int argc, char** argv) {
                 << (r.reuseport_used ? "SO_REUSEPORT" : "accept handoff")
                 << ")\n";
       st.print(std::cerr);
-      if (!r.shard_conserved()) {
-        std::cerr << r.policy
-                  << ": conservation across shards violated (issued="
-                  << l.issued << " parsed=" << r.dist_requests << ")\n";
-        ok = false;
-      }
     }
     if (l.completed == 0 || l.throughput_rps() <= 0) {
       std::cerr << r.policy << ": no throughput\n";

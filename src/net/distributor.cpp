@@ -60,12 +60,10 @@ std::int64_t header_i64(const HttpResponse& resp, std::string_view name,
 }  // namespace
 
 Distributor::Distributor(LiveRouter& router, const SiteStore& site,
-                         std::vector<BackendWorker*> workers,
-                         std::uint16_t port)
+                         std::vector<BackendWorker*> workers)
     : router_(router),
       site_(site),
       workers_(std::move(workers)),
-      port_(port),
       next_client_key_(1 + workers_.size()) {}
 
 Distributor::~Distributor() { stop(); }
@@ -114,17 +112,12 @@ bool Distributor::start() {
     upstreams_.push_back(std::move(up));
   }
 
-  const bool handoff_only =
-      shard_.num_shards > 1 && !shard_.listen.valid();
-  if (shard_.listen.valid()) {
-    // Sharded mode: the front end pre-bound this socket (SO_REUSEPORT
-    // group member or the lone handoff listener).
-    listen_ = std::move(shard_.listen);
-  } else if (!handoff_only) {
-    listen_ = listen_loopback(port_);
-  }
-  if (!handoff_only) {
-    if (!listen_ || !set_nonblocking(listen_.get())) return false;
+  // The front end pre-bound this shard's listen socket (an SO_REUSEPORT
+  // group member or the lone listener); without one, connections arrive
+  // only through adopt_client().
+  listen_ = std::move(shard_.listen);
+  if (listen_.valid()) {
+    if (!set_nonblocking(listen_.get())) return false;
     // EPOLLEXCLUSIVE keeps a shared listen socket from waking every
     // shard per connection; falls back to a plain add on old kernels.
     if (!loop_.add_listener(listen_.get(), kListenKey)) return false;

@@ -15,9 +15,9 @@
 // workers).
 //
 // The distributor also serves GET /metrics itself (Prometheus text
-// snapshot assembled by a caller-provided closure, wired by LiveCluster
-// to the obs::MetricRegistry exporter) and GET /slo (the SloMonitor's
-// JSON evaluation).
+// snapshot assembled by a caller-provided closure, wired by
+// scale::run_live_sharded to the obs::MetricRegistry exporter) and GET
+// /slo (the SloMonitor's JSON evaluation).
 //
 // Observability (docs/OBSERVABILITY.md "Live tracing"): when a trace
 // sample rate is configured, a deterministic subset of forwarded requests
@@ -105,14 +105,14 @@ struct DistributorObsOptions {
 
 class Distributor;
 
-/// Shard wiring for the multi-distributor front end (src/scale/). A
-/// non-sharded Distributor is exactly a 1-shard one with defaults here.
+/// Shard wiring, set by the front end (scale::ShardedFrontend), which
+/// also binds every client listen socket.
 struct DistributorShardOptions {
   std::uint32_t shard_id = 0;
   std::uint32_t num_shards = 1;
   /// Pre-bound listen socket for this shard (an SO_REUSEPORT group
-  /// member, or the lone listener in handoff mode). Invalid => this shard
-  /// accepts nothing directly and receives connections via adopt_client().
+  /// member, or the lone listener). Invalid => this shard accepts nothing
+  /// directly and receives connections via adopt_client().
   Fd listen;
   /// Accept-fd handoff fallback (no SO_REUSEPORT): the accepting shard
   /// round-robins new connections across these peers; an entry equal to
@@ -127,9 +127,9 @@ struct DistributorShardOptions {
 class Distributor {
  public:
   /// `router`, `site`, and the workers are borrowed and must outlive the
-  /// distributor. `port` 0 picks an ephemeral port (see port()).
+  /// distributor.
   Distributor(LiveRouter& router, const SiteStore& site,
-              std::vector<BackendWorker*> workers, std::uint16_t port = 0);
+              std::vector<BackendWorker*> workers);
   ~Distributor();
   Distributor(const Distributor&) = delete;
   Distributor& operator=(const Distributor&) = delete;
@@ -156,12 +156,11 @@ class Distributor {
                      std::size_t fanout);
 
   /// Connects the upstream sockets (the workers must already be
-  /// listening), binds the client listen socket, starts the policy and
-  /// the event-loop thread. False on any setup failure.
+  /// listening), registers the shard's listen socket, starts the policy
+  /// and the event-loop thread. False on any setup failure.
   bool start();
   void stop();
 
-  std::uint16_t port() const noexcept { return port_; }
   std::uint32_t shard_id() const noexcept { return shard_.shard_id; }
   const DistributorCounters& counters() const noexcept { return counters_; }
 
@@ -289,7 +288,6 @@ class Distributor {
   std::vector<BackendWorker*> workers_;
 
   Fd listen_;
-  std::uint16_t port_;
   EpollLoop loop_;
   std::thread thread_;
   std::atomic<bool> stopping_{false};

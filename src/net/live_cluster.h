@@ -1,11 +1,13 @@
-// LiveCluster: orchestration for the live loopback prototype.
+// LiveCluster: configuration, workload set-up and results of a live
+// loopback run.
 //
-// run_live() assembles the full system in one process — N BackendWorker
-// threads, one Distributor thread with its LiveRouter belief model, and a
-// LoadGenerator on the calling thread — replays a workload, scrapes
-// /metrics over a real socket, tears everything down, and returns the
-// consolidated result. This is what `prord_live` and the loopback bench
-// drive (docs/LIVE_CLUSTER.md).
+// scale::run_live_sharded (scale/sharded_live.h) is the one assembly: N
+// BackendWorker threads, a front end of LiveConfig::shards Distributor
+// threads (one, the paper's single front end, by default), each with its
+// LiveRouter belief model, and LoadGenerator threads replaying the
+// workload; it scrapes /metrics and /slo over a real socket, tears
+// everything down and returns a LiveRunResult. This is what `prord_live`
+// and the live benches drive (docs/LIVE_CLUSTER.md).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,6 @@
 
 namespace prord::net {
 
-class BackendWorker;
-
 struct LiveConfig {
   core::PolicyKind policy = core::PolicyKind::kPrord;
   std::uint32_t backends = 4;
@@ -37,11 +37,11 @@ struct LiveConfig {
   std::size_t pipeline_depth = 1;
   bool open_loop = false;
   double time_scale = 1.0;  ///< open-loop arrival compression
-  std::uint16_t port = 0;   ///< distributor port; 0 = ephemeral
+  std::uint16_t port = 0;   ///< client port; 0 = ephemeral
 
-  // --- Sharded front end (docs/SCALING.md; honored by
-  // scale::run_live_sharded — run_live() itself is always 1 shard). ---
-  /// Distributor shards sharing the client port.
+  // --- Front end (docs/SCALING.md). ---
+  /// Distributor shards sharing the client port; 1 is the paper's single
+  /// front end (no gossip, no handoff).
   std::uint32_t shards = 1;
   /// Load-gossip cadence / staleness horizon between shard beliefs.
   std::int64_t gossip_interval_us = 2000;
@@ -132,8 +132,7 @@ struct LiveRunResult {
   bool started = false;  ///< false = socket/thread setup failed
   LoadGenResult load;
 
-  // Sharded front end (shard_count == 1 and `shards` empty for plain
-  // run_live()).
+  // Front end: one snapshot per shard.
   std::uint32_t shard_count = 1;
   bool reuseport_used = false;
   std::vector<LiveShardSnapshot> shards;
@@ -189,9 +188,8 @@ struct LiveRunResult {
 
   /// Conservation across shards: every client-issued request was parsed
   /// by exactly one shard, and every parsed request was answered
-  /// (response, failure reply, or 404). Trivially true for plain runs.
+  /// (response, failure reply, or 404).
   bool shard_conserved() const noexcept {
-    if (shards.empty()) return true;
     std::uint64_t parsed = 0, answered = 0;
     for (const LiveShardSnapshot& s : shards) {
       parsed += s.requests;
@@ -209,19 +207,14 @@ struct LiveRunResult {
   }
 };
 
-/// Blocking end-to-end run. Builds site/trace/mining from the config,
-/// serves it over loopback sockets, replays the workload, and returns the
-/// consolidated result.
-LiveRunResult run_live(const LiveConfig& config);
-
 /// One-shot GET `target` against 127.0.0.1:`port`; empty string on any
 /// failure. Used for /metrics scrapes.
 std::string http_get(std::uint16_t port, std::string_view target);
 
-/// Workload/site/model assembly shared by run_live() and the sharded
-/// runner (scale::run_live_sharded): experiment config, train/eval
-/// workloads, cache sizing, and the mining model — everything upstream of
-/// sockets and threads.
+/// Workload/site/model assembly for scale::run_live_sharded (and any
+/// caller that builds the front end itself): experiment config,
+/// train/eval workloads, cache sizing, and the mining model — everything
+/// upstream of sockets and threads.
 struct LiveSetup {
   core::ExperimentConfig cfg;
   trace::Workload train;
@@ -240,19 +233,5 @@ struct LiveSetup {
 
 /// False when the workload cannot be built (e.g. unreadable clf_path).
 bool prepare_live_setup(const LiveConfig& config, LiveSetup& out);
-
-/// Appends one backend worker's prord_live_backend_* counters to `reg`
-/// (shared between the plain and sharded registry builders so metric
-/// names stay single-sourced).
-void append_backend_metrics(obs::MetricRegistry& reg,
-                            const BackendWorker& worker);
-
-/// Appends the prediction-service-side prord_predict_* metrics (feed,
-/// mining, table occupancy — not the distributor's prefetch counters).
-void append_predictor_service_metrics(obs::MetricRegistry& reg,
-                                      const predict::IPredictor& predictor);
-
-/// Copies a worker's atomic counters into a snapshot.
-LiveWorkerSnapshot snapshot_worker(const BackendWorker& worker);
 
 }  // namespace prord::net

@@ -62,8 +62,8 @@ bool ShardedFrontend::start() {
   cores_.clear();
   dists_.clear();
   for (std::uint32_t s = 0; s < n; ++s) {
-    dists_.push_back(std::make_unique<net::Distributor>(
-        *routers_[s], site_, workers_, port_));
+    dists_.push_back(
+        std::make_unique<net::Distributor>(*routers_[s], site_, workers_));
   }
   std::vector<net::Distributor*> peers;
   if (!reuseport_used_ && n > 1) {

@@ -1,4 +1,5 @@
-// ShardedFrontend: N distributor shards on one client port.
+// ShardedFrontend: N distributor shards on one client port. It is the
+// only code that binds the client port, at every shard count.
 //
 // Preferred path: every shard binds its own SO_REUSEPORT listener on the
 // shared port and the kernel spreads incoming connections across them

@@ -1,6 +1,8 @@
 #include "scale/sharded_live.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -13,22 +15,103 @@
 #include "net/site_store.h"
 #include "obs/exporters.h"
 #include "obs/flight_recorder.h"
+#include "obs/span.h"
 #include "scale/sharded_frontend.h"
 
 namespace prord::scale {
 namespace {
 
-/// Shard-labeled registry over the whole front end. Live scrapes read
-/// only atomic distributor counters and the gossip board (the serving
-/// shard must not touch a peer's RoutingCore); post-run, `routers` is
-/// passed for the exact commit counters and routes_via breakdown.
-obs::MetricRegistry build_sharded_registry(
-    const ShardedFrontend& fe,
+/// One backend worker's prord_live_backend_* counters.
+void append_backend_metrics(obs::MetricRegistry& reg,
+                            const net::BackendWorker& worker) {
+  const obs::Labels labels{{"backend", std::to_string(worker.id())}};
+  const auto& s = worker.stats();
+  reg.counter_add("prord_live_backend_requests_total", labels,
+                  static_cast<double>(s.requests.load()));
+  reg.counter_add("prord_live_backend_cache_hits_total", labels,
+                  static_cast<double>(s.cache_hits.load()));
+  reg.counter_add("prord_live_backend_cache_misses_total", labels,
+                  static_cast<double>(s.cache_misses.load()));
+  reg.counter_add("prord_live_backend_dynamic_total", labels,
+                  static_cast<double>(s.dynamic_served.load()));
+  reg.counter_add("prord_live_backend_preloads_total", labels,
+                  static_cast<double>(s.preloads.load()));
+  reg.counter_add("prord_live_backend_bytes_out_total", labels,
+                  static_cast<double>(s.bytes_out.load()));
+  reg.counter_add("prord_live_backend_prefetch_requests_total", labels,
+                  static_cast<double>(s.prefetch_requests.load()));
+  reg.counter_add("prord_live_backend_prefetch_resident_total", labels,
+                  static_cast<double>(s.prefetch_resident.load()));
+  reg.counter_add("prord_live_backend_prefetch_loads_total", labels,
+                  static_cast<double>(s.prefetch_loads.load()));
+}
+
+/// The prediction-service-side prord_predict_* metrics (feed, mining,
+/// table occupancy — not the distributors' prefetch counters).
+void append_predictor_service_metrics(obs::MetricRegistry& reg,
+                                      const predict::IPredictor& predictor) {
+  const predict::PredictorStats ps = predictor.stats();
+  reg.set_help("prord_predict_feeds_total",
+               "Observations accepted by the prediction service");
+  reg.counter_add("prord_predict_feeds_total", {},
+                  static_cast<double>(ps.feeds));
+  reg.set_help("prord_predict_drops_total",
+               "Observations dropped on a full feed queue");
+  reg.counter_add("prord_predict_drops_total", {},
+                  static_cast<double>(ps.drops));
+  reg.counter_add("prord_predict_mine_passes_total", {},
+                  static_cast<double>(ps.mine_passes));
+  reg.counter_add("prord_predict_publishes_total", {},
+                  static_cast<double>(ps.publishes));
+  reg.counter_add("prord_predict_predictions_total", {},
+                  static_cast<double>(ps.predictions));
+  reg.gauge_set("prord_predict_links", static_cast<double>(ps.links));
+  reg.set_help("prord_predict_table_rows",
+               "Bounded-table occupancy by table");
+  reg.gauge_set("prord_predict_table_rows", {{"table", "record"}},
+                static_cast<double>(ps.record_rows));
+  reg.gauge_set("prord_predict_table_rows", {{"table", "mining"}},
+                static_cast<double>(ps.mining_rows));
+  reg.gauge_set("prord_predict_table_rows", {{"table", "prefetch"}},
+                static_cast<double>(ps.prefetch_rows));
+  reg.gauge_set("prord_predict_algo",
+                {{"algo", predict::algo_name(predictor.params().algo)}},
+                1.0);
+}
+
+/// Copies a worker's atomic counters into a snapshot.
+net::LiveWorkerSnapshot snapshot_worker(const net::BackendWorker& worker) {
+  net::LiveWorkerSnapshot snap;
+  const auto& s = worker.stats();
+  snap.requests = s.requests.load();
+  snap.cache_hits = s.cache_hits.load();
+  snap.cache_misses = s.cache_misses.load();
+  snap.dynamic_served = s.dynamic_served.load();
+  snap.preloads = s.preloads.load();
+  snap.bytes_out = s.bytes_out.load();
+  snap.prefetch_requests = s.prefetch_requests.load();
+  snap.prefetch_resident = s.prefetch_resident.load();
+  snap.prefetch_loads = s.prefetch_loads.load();
+  return snap;
+}
+
+/// Snapshot of everything observable: shard-labeled series plus the
+/// aggregates under the names dashboards use. Built by shard `serving`'s
+/// /metrics provider on that shard's thread while the run is live (`load`
+/// null): the serving shard's RoutingCore and SloMonitor are read
+/// directly, a peer's routing counters only through the gossip board.
+/// Built once more after teardown (`load` set, every shard thread joined)
+/// for LiveRunResult::registry: every RoutingCore is read directly, and
+/// `serving` is 0, whose monitor stands in for the SLO gauges as in
+/// LiveRunResult::slo.
+obs::MetricRegistry build_registry(
+    const ShardedFrontend& fe, const std::vector<net::LiveRouter*>& routers,
     const std::vector<net::BackendWorker*>& workers,
-    const predict::IPredictor* predictor, const net::LoadGenResult* load,
-    const std::vector<net::LiveRouter*>* routers) {
+    const predict::IPredictor* predictor, std::uint32_t serving,
+    const net::LoadGenResult* load) {
   obs::MetricRegistry reg;
   const std::uint32_t n = fe.shards();
+  const bool after_run = load != nullptr;
 
   std::uint64_t requests = 0, responses = 0, failures = 0, not_found = 0;
   std::uint64_t parse_errors = 0, scrapes = 0;
@@ -80,8 +163,6 @@ obs::MetricRegistry build_sharded_registry(
                     static_cast<double>(c.slo_violations.load()));
   }
 
-  // Aggregate totals under the same names the 1-shard registry uses, so
-  // dashboards work unchanged against a sharded front end.
   reg.set_help("prord_live_requests_total",
                "Client requests parsed by the distributor (all shards)");
   reg.counter_add("prord_live_requests_total", {},
@@ -96,6 +177,8 @@ obs::MetricRegistry build_sharded_registry(
                   static_cast<double>(parse_errors));
   reg.counter_add("prord_live_metrics_scrapes_total", {},
                   static_cast<double>(scrapes));
+  reg.set_help("prord_live_trace_spans_total",
+               "Completed live hop spans retained by the distributors");
   reg.counter_add("prord_live_trace_spans_total", {},
                   static_cast<double>(trace_spans));
   reg.counter_add("prord_live_trace_dropped_total", {},
@@ -105,7 +188,7 @@ obs::MetricRegistry build_sharded_registry(
   reg.counter_add("prord_live_flight_dumps_total", {},
                   static_cast<double>(flight_dumps));
 
-  // Accept-path accounting (satellite: storms are visible, not silent).
+  // Accept-path accounting (storms are visible, not silent).
   reg.set_help("prord_live_accepts_total",
                "Connections accepted across all shards");
   reg.counter_add("prord_live_accepts_total", {},
@@ -121,46 +204,41 @@ obs::MetricRegistry build_sharded_registry(
   reg.counter_add("prord_live_adopted_total", {},
                   static_cast<double>(adopted));
 
-  // Routing commits. Live: the gossip board carries every shard's
-  // published counters (lock-free reads). Post-run: exact core reads.
+  // Routing commits. A peer's RoutingCore belongs to the peer's thread,
+  // so while live its counters come from what it last gossiped. The
+  // per-step breakdown is not gossiped: it appears only when every core
+  // can be read.
   std::uint64_t routed = 0, dispatches = 0, handoffs = 0, forwards = 0;
+  std::array<std::uint64_t, obs::kNumRouteVia> via{};
+  bool every_core = true;
   reg.set_help("prord_live_shard_routed_total",
                "RoutingCore commits, by front-end shard");
-  if (routers != nullptr) {
-    std::array<std::uint64_t, obs::kNumRouteVia> via_sum{};
-    for (std::uint32_t s = 0; s < n; ++s) {
-      const core::RoutingCore& core = (*routers)[s]->core();
-      routed += core.routed();
-      dispatches += core.dispatches();
-      handoffs += core.handoffs();
-      forwards += core.forwards();
-      reg.counter_add("prord_live_shard_routed_total",
-                      {{"shard", std::to_string(s)}},
-                      static_cast<double>(core.routed()));
-      const auto& via = core.routes_via();
-      for (unsigned v = 0; v < obs::kNumRouteVia; ++v) via_sum[v] += via[v];
-    }
-    for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
-      reg.counter_add(
-          "prord_live_routes_via_total",
-          {{"via", obs::route_via_name(static_cast<obs::RouteVia>(v))}},
-          static_cast<double>(via_sum[v]));
-    }
-  } else {
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const obs::Labels labels{{"shard", std::to_string(s)}};
     ShardLoadSnapshot snap;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (!fe.board().read(s, snap)) continue;
-      routed += snap.routed;
-      dispatches += snap.dispatches;
-      handoffs += snap.handoffs;
-      forwards += snap.forwards;
-      reg.counter_add("prord_live_shard_routed_total",
-                      {{"shard", std::to_string(s)}},
-                      static_cast<double>(snap.routed));
-      reg.counter_add("prord_scale_gossip_publishes_total",
-                      {{"shard", std::to_string(s)}},
+    const bool gossiped = fe.board().read(s, snap);
+    if (gossiped) {
+      reg.counter_add("prord_scale_gossip_publishes_total", labels,
                       static_cast<double>(snap.version));
     }
+    if (after_run || s == serving) {
+      const core::RoutingCore& core = routers[s]->core();
+      snap.routed = core.routed();
+      snap.dispatches = core.dispatches();
+      snap.handoffs = core.handoffs();
+      snap.forwards = core.forwards();
+      const auto& core_via = core.routes_via();
+      for (unsigned v = 0; v < obs::kNumRouteVia; ++v) via[v] += core_via[v];
+    } else {
+      every_core = false;
+      if (!gossiped) continue;
+    }
+    routed += snap.routed;
+    dispatches += snap.dispatches;
+    handoffs += snap.handoffs;
+    forwards += snap.forwards;
+    reg.counter_add("prord_live_shard_routed_total", labels,
+                    static_cast<double>(snap.routed));
   }
   reg.set_help("prord_live_routed_total",
                "Requests committed through the shared RoutingCore");
@@ -171,22 +249,33 @@ obs::MetricRegistry build_sharded_registry(
                   static_cast<double>(handoffs));
   reg.counter_add("prord_live_forwards_total", {},
                   static_cast<double>(forwards));
+  if (every_core) {
+    for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
+      reg.counter_add(
+          "prord_live_routes_via_total",
+          {{"via", obs::route_via_name(static_cast<obs::RouteVia>(v))}},
+          static_cast<double>(via[v]));
+    }
+  }
 
   reg.set_help("prord_scale_shards", "Front-end distributor shard count");
   reg.gauge_set("prord_scale_shards", static_cast<double>(n));
   reg.gauge_set("prord_scale_reuseport", fe.reuseport_used() ? 1.0 : 0.0);
 
-  for (const net::BackendWorker* w : workers)
-    net::append_backend_metrics(reg, *w);
+  for (const net::BackendWorker* w : workers) append_backend_metrics(reg, *w);
 
+  // Prediction subsystem (docs/PREDICTOR.md), present when the live
+  // prefetch seam is armed.
   if (predictor != nullptr) {
-    net::append_predictor_service_metrics(reg, *predictor);
+    append_predictor_service_metrics(reg, *predictor);
     reg.set_help("prord_predict_prefetch_issued_total",
                  "Cache-warming requests sent to backend workers");
     reg.counter_add("prord_predict_prefetch_issued_total", {},
                     static_cast<double>(pf_issued));
     reg.counter_add("prord_predict_prefetch_responses_total", {},
                     static_cast<double>(pf_responses));
+    reg.set_help("prord_predict_prefetch_hits_total",
+                 "Client cache hits on files the front end prefetched");
     reg.counter_add("prord_predict_prefetch_hits_total", {},
                     static_cast<double>(pf_hits));
     reg.counter_add("prord_predict_prefetch_wasted_total", {},
@@ -195,7 +284,29 @@ obs::MetricRegistry build_sharded_registry(
                     static_cast<double>(pf_drops));
   }
 
-  if (load != nullptr) {
+  // Tracing and SLO posture (docs/OBSERVABILITY.md).
+  const net::Distributor& dist = fe.shard(serving);
+  const net::DistributorObsOptions& obs_opts = dist.obs_options();
+  reg.gauge_set("prord_live_trace_sample_rate", obs_opts.trace_sample_rate);
+
+  const obs::SloEval slo = dist.slo().evaluate(dist.elapsed_us());
+  reg.set_help("prord_live_slo_burn_rate",
+               "Error rate over error budget per rolling window");
+  reg.gauge_set("prord_live_slo_burn_rate", {{"window", "short"}},
+                slo.short_window.burn_rate);
+  reg.gauge_set("prord_live_slo_burn_rate", {{"window", "long"}},
+                slo.long_window.burn_rate);
+  reg.gauge_set("prord_live_slo_error_rate", {{"window", "short"}},
+                slo.short_window.error_rate);
+  reg.gauge_set("prord_live_slo_error_rate", {{"window", "long"}},
+                slo.long_window.error_rate);
+  reg.gauge_set("prord_live_slo_violating", slo.violating ? 1.0 : 0.0);
+  reg.gauge_set("prord_live_slo_latency_objective_us",
+                static_cast<double>(obs_opts.slo.latency_objective_us));
+  reg.gauge_set("prord_live_slo_availability_objective",
+                obs_opts.slo.availability_objective);
+
+  if (after_run) {
     reg.counter_add("prord_live_client_issued_total", {},
                     static_cast<double>(load->issued));
     reg.counter_add("prord_live_client_completed_total", {},
@@ -210,13 +321,29 @@ obs::MetricRegistry build_sharded_registry(
     if (load->latency_hist.count() > 0)
       reg.histogram_merge("prord_live_client_latency_us_hist", {},
                           load->latency_hist);
+
+    // Post-run only: per-hop latency decomposition over every shard's
+    // spans — too heavy for a live scrape.
+    reg.set_help("prord_live_hop_us",
+                 "Per-hop wall-clock time across sampled live spans");
+    for (std::uint32_t s = 0; s < n; ++s) {
+      for (const obs::LiveSpan& span : fe.shard(s).spans()) {
+        for (unsigned h = 0; h < obs::kNumLiveHops; ++h) {
+          reg.stats_add("prord_live_hop_us",
+                        {{"hop", obs::live_hop_name(
+                                     static_cast<obs::LiveHop>(h))}},
+                        static_cast<double>(span.hop_us[h]));
+        }
+      }
+    }
   }
   return reg;
 }
 
-/// /slo body for a sharded front end: aggregate + per-shard counters from
-/// atomics, plus the serving shard's full local burn-rate evaluation.
-std::string sharded_slo_json(const ShardedFrontend& fe, std::uint32_t self) {
+/// /slo body: aggregate and per-shard counters from atomics, then the
+/// serving shard's own burn-rate evaluation (SloMonitor::to_json's fields)
+/// at the top level.
+std::string slo_json(const ShardedFrontend& fe, std::uint32_t self) {
   const std::uint32_t n = fe.shards();
   std::uint64_t requests = 0, responses = 0, failures = 0, violations = 0;
   std::string per_shard = "[";
@@ -238,14 +365,15 @@ std::string sharded_slo_json(const ShardedFrontend& fe, std::uint32_t self) {
                  ",\"slo_violations\":" + std::to_string(sv) + "}";
   }
   per_shard += ']';
+  // The monitor's JSON is one non-empty object; splice its members in.
+  const std::string local = fe.shard(self).slo_json();
   return "{\"shards\":" + std::to_string(n) +
          ",\"serving_shard\":" + std::to_string(self) +
          ",\"aggregate\":{\"requests\":" + std::to_string(requests) +
          ",\"responses\":" + std::to_string(responses) +
          ",\"failures\":" + std::to_string(failures) +
          ",\"slo_violations\":" + std::to_string(violations) +
-         "},\"per_shard\":" + per_shard +
-         ",\"local\":" + fe.shard(self).slo_json() + "}\n";
+         "},\"per_shard\":" + per_shard + "," + local.substr(1) + "\n";
 }
 
 }  // namespace
@@ -328,14 +456,14 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
   fo.prefetch_fanout = config.predictor.max_associations;
   ShardedFrontend fe(router_ptrs, store, worker_ptrs, fo);
   fe.set_providers(
-      [&fe, &worker_ptrs, &predictor](std::uint32_t) {
-        return [&fe, &worker_ptrs, &predictor] {
-          return obs::to_prometheus(build_sharded_registry(
-              fe, worker_ptrs, predictor.get(), nullptr, nullptr));
+      [&fe, &router_ptrs, &worker_ptrs, &predictor](std::uint32_t s) {
+        return [&fe, &router_ptrs, &worker_ptrs, &predictor, s] {
+          return obs::to_prometheus(build_registry(
+              fe, router_ptrs, worker_ptrs, predictor.get(), s, nullptr));
         };
       },
       [&fe](std::uint32_t s) {
-        return [&fe, s] { return sharded_slo_json(fe, s); };
+        return [&fe, s] { return slo_json(fe, s); };
       });
   if (!fe.start()) {
     for (auto& w : workers) w->stop();
@@ -432,7 +560,7 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
     }
   }
   for (const auto& w : workers)
-    result.workers.push_back(net::snapshot_worker(*w));
+    result.workers.push_back(snapshot_worker(*w));
   if (predictor) {
     result.prefetch_enabled = true;
     result.prefetch_algo = predict::algo_name(config.predictor.algo);
@@ -450,8 +578,8 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
     }
   }
 
-  result.registry = build_sharded_registry(fe, worker_ptrs, predictor.get(),
-                                           &result.load, &router_ptrs);
+  result.registry = build_registry(fe, router_ptrs, worker_ptrs,
+                                   predictor.get(), 0, &result.load);
   return result;
 }
 

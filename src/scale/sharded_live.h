@@ -1,22 +1,22 @@
-// run_live_sharded: the sharded counterpart of net::run_live.
+// run_live_sharded: the live loopback cluster, assembled end to end.
 //
-// Same assembly (workers, belief routers, workload replay, scrapes,
-// consolidation) but with LiveConfig::shards distributor shards behind
-// one port (ShardedFrontend), per-shard mining models (PRORD's
-// popularity tracking mutates the model, so shards must not share one),
-// a multi-threaded load generator, and shard-labeled /metrics + /slo
-// aggregation. At shards == 1 the routing behaviour is identical to
-// run_live — same policies, same decision-commit path — which the
-// routing-parity test keeps pinned.
+// The one live assembly at every shard count: backend workers, one
+// private belief router per shard (PRORD's popularity tracking mutates
+// the mining model, so shards past the first build their own copy),
+// LiveConfig::shards distributor shards behind one port
+// (ShardedFrontend), the prediction service when prefetch is on, a
+// multi-threaded load generator, /metrics and /slo scrapes, and
+// consolidation. At shards == 1 the front end is the paper's single
+// distributor: no gossip tick and no accept handoff.
 #pragma once
 
 #include "net/live_cluster.h"
 
 namespace prord::scale {
 
-/// Blocking end-to-end sharded run. Honors LiveConfig::shards,
-/// gossip_interval_us, gossip_staleness_us, reuseport and load_threads;
-/// every other knob means what it means for net::run_live.
+/// Blocking end-to-end run. Builds site/trace/mining from the config,
+/// serves it over loopback sockets, replays the workload, and returns the
+/// consolidated result.
 net::LiveRunResult run_live_sharded(const net::LiveConfig& config);
 
 }  // namespace prord::scale

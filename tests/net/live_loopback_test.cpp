@@ -1,5 +1,6 @@
-// End-to-end tests over real loopback sockets: distributor + worker
-// threads + load generator, small request budgets. These assert the
+// End-to-end tests over real loopback sockets (scale::run_live_sharded at
+// one shard): distributor + worker threads + load generator, small
+// request budgets. These assert the
 // operational contract — conservation, correct payloads, parseable
 // /metrics — not performance.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "net/backend_worker.h"
 #include "net/live_cluster.h"
 #include "net/site_store.h"
+#include "scale/sharded_live.h"
 #include "trace/models.h"
 #include "trace/workload.h"
 
@@ -33,7 +35,7 @@ LiveConfig small_config(core::PolicyKind policy) {
 }
 
 TEST(LiveLoopback, WrrConservesAndServes) {
-  const LiveRunResult r = run_live(small_config(core::PolicyKind::kWrr));
+  const LiveRunResult r = scale::run_live_sharded(small_config(core::PolicyKind::kWrr));
   ASSERT_TRUE(r.started);
   EXPECT_TRUE(r.conserved());
   EXPECT_EQ(r.load.issued, 1500u);
@@ -49,7 +51,7 @@ TEST(LiveLoopback, WrrConservesAndServes) {
 }
 
 TEST(LiveLoopback, PrordConservesAndMirrorsProactivePlacement) {
-  const LiveRunResult r = run_live(small_config(core::PolicyKind::kPrord));
+  const LiveRunResult r = scale::run_live_sharded(small_config(core::PolicyKind::kPrord));
   ASSERT_TRUE(r.started);
   EXPECT_TRUE(r.conserved());
   EXPECT_EQ(r.load.failed, 0u);
@@ -64,7 +66,7 @@ TEST(LiveLoopback, PrordConservesAndMirrorsProactivePlacement) {
 }
 
 TEST(LiveLoopback, MetricsScrapeIsParseable) {
-  const LiveRunResult r = run_live(small_config(core::PolicyKind::kLard));
+  const LiveRunResult r = scale::run_live_sharded(small_config(core::PolicyKind::kLard));
   ASSERT_TRUE(r.started);
   ASSERT_FALSE(r.metrics_scrape.empty());
   // Prometheus text format: TYPE lines plus our counter families.

@@ -11,7 +11,6 @@
 
 #include "core/experiment.h"
 #include "net/backend_worker.h"
-#include "net/distributor.h"
 #include "net/http.h"
 #include "net/live_cluster.h"
 #include "net/live_router.h"
@@ -19,6 +18,8 @@
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace_context.h"
+#include "scale/sharded_frontend.h"
+#include "scale/sharded_live.h"
 #include "trace/models.h"
 #include "trace/workload.h"
 #include "util/json.h"
@@ -48,8 +49,8 @@ LiveConfig obs_config() {
 }
 
 TEST(LiveObs, TraceStructureIsRunStable) {
-  const LiveRunResult a = run_live(obs_config());
-  const LiveRunResult b = run_live(obs_config());
+  const LiveRunResult a = scale::run_live_sharded(obs_config());
+  const LiveRunResult b = scale::run_live_sharded(obs_config());
   ASSERT_TRUE(a.started);
   ASSERT_TRUE(b.started);
   ASSERT_EQ(a.load.failed, 0u);
@@ -116,8 +117,8 @@ std::vector<HttpResponse> pipelined_exchange(std::uint16_t port,
 }
 
 TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
-  // Minimal standalone cluster: one worker, WRR belief router, the
-  // distributor's built-in /metrics snapshot.
+  // Minimal standalone cluster: one worker, WRR belief router, a 1-shard
+  // front end serving the distributor's built-in /metrics snapshot.
   const trace::BuiltWorkload built = trace::build(obs_spec());
   const trace::Workload wl = trace::build_workload(built.trace.records);
   SiteStore store(wl.files);
@@ -129,8 +130,8 @@ TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
   cfg.params.num_backends = 1;
   LiveRouter router(cfg, nullptr, wl.files, /*demand_bytes=*/1 << 20,
                     /*pinned_bytes=*/0);
-  Distributor dist(router, store, {&worker});
-  ASSERT_TRUE(dist.start());
+  scale::ShardedFrontend fe({&router}, store, {&worker}, {});
+  ASSERT_TRUE(fe.start());
 
   // Two pipelined /metrics scrapes plus /slo on ONE keep-alive
   // connection: a wrong Content-Length would mis-frame every response
@@ -139,7 +140,7 @@ TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
                            format_request("/metrics") +
                            format_request("/slo");
   const std::vector<HttpResponse> responses =
-      pipelined_exchange(dist.port(), wire, 3);
+      pipelined_exchange(fe.port(), wire, 3);
   ASSERT_EQ(responses.size(), 3u);
 
   for (int i = 0; i < 2; ++i) {
@@ -166,7 +167,7 @@ TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
   EXPECT_NE(doc.find("objectives"), nullptr);
   EXPECT_NE(doc.find("violating"), nullptr);
 
-  dist.stop();
+  fe.stop();
   worker.stop();
 }
 
@@ -174,7 +175,7 @@ TEST(LiveObs, SloScrapeAndSpanExportEndToEnd) {
   const std::string trace_path = ::testing::TempDir() + "live_obs_spans.jsonl";
   LiveConfig cfg = obs_config();
   cfg.trace_out = trace_path;
-  const LiveRunResult r = run_live(cfg);
+  const LiveRunResult r = scale::run_live_sharded(cfg);
   ASSERT_TRUE(r.started);
   ASSERT_GT(r.trace_spans, 0u);
 
@@ -223,7 +224,7 @@ TEST(LiveObs, SloViolationDumpsFlightRecorder) {
   cfg.slo.slice_us = 10'000;
   cfg.slo.short_window_us = 20'000;
   cfg.slo.long_window_us = 40'000;
-  const LiveRunResult r = run_live(cfg);
+  const LiveRunResult r = scale::run_live_sharded(cfg);
   ASSERT_TRUE(r.started);
   EXPECT_GE(r.slo_violations, 1u);
   ASSERT_GE(r.flight_dumps, 1u);

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "net/live_cluster.h"
+#include "scale/sharded_live.h"
 #include "trace/models.h"
 
 namespace prord::net {
@@ -37,7 +38,7 @@ LiveConfig prefetch_config(predict::Algo algo) {
 class LivePrefetchTest : public ::testing::TestWithParam<predict::Algo> {};
 
 TEST_P(LivePrefetchTest, PrefetchHeavyRunKeepsConservationExact) {
-  const LiveRunResult r = run_live(prefetch_config(GetParam()));
+  const LiveRunResult r = scale::run_live_sharded(prefetch_config(GetParam()));
   ASSERT_TRUE(r.started);
   EXPECT_TRUE(r.prefetch_enabled);
   EXPECT_EQ(r.prefetch_algo, predict::algo_name(GetParam()));
@@ -79,7 +80,7 @@ TEST_P(LivePrefetchTest, PrefetchHeavyRunKeepsConservationExact) {
 TEST(LivePrefetch, OffByDefaultLeavesNoTrace) {
   LiveConfig cfg = prefetch_config(predict::Algo::kMithril);
   cfg.prefetch = false;
-  const LiveRunResult r = run_live(cfg);
+  const LiveRunResult r = scale::run_live_sharded(cfg);
   ASSERT_TRUE(r.started);
   EXPECT_FALSE(r.prefetch_enabled);
   EXPECT_EQ(r.prefetch_issued, 0u);

@@ -3,11 +3,12 @@
 // threads, multi-threaded load generation. The contract under test is
 // conservation across shards — every issued request is parsed by exactly
 // one shard and answered — plus the shard bookkeeping (per-shard
-// snapshots, handoff accounting, gossip liveness) and 1-shard parity
-// with the unsharded runner.
+// snapshots, handoff accounting, gossip liveness) and, at one shard, the
+// paper's single front end with the full /metrics catalogue.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "net/live_cluster.h"
@@ -59,21 +60,65 @@ void expect_conserved(const net::LiveRunResult& r, std::uint32_t shards) {
   EXPECT_EQ(r.routed, r.dist_requests);
 }
 
+/// True when a Prometheus text body has a sample line for `name`.
+bool scrape_has(const std::string& body, const std::string& name) {
+  const std::string text = "\n" + body;
+  return text.find("\n" + name + " ") != std::string::npos ||
+         text.find("\n" + name + "{") != std::string::npos;
+}
+
+/// Value of the unlabeled series `name` in a Prometheus text body; -1
+/// when absent.
+double scrape_value(const std::string& body, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = ("\n" + body).find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(body.substr(at + key.size() - 1));
+}
+
+bool registry_has(const obs::MetricRegistry& reg, const std::string& name) {
+  return std::any_of(reg.series().begin(), reg.series().end(),
+                     [&](const auto& kv) { return kv.second.name == name; });
+}
+
 TEST(ShardedLive, OneShardMatchesRunLiveBehaviour) {
-  // shards == 1 is the parity anchor: same assembly as net::run_live,
-  // same counters, no gossip, no handoff.
+  // shards == 1 is the paper's single front end: one distributor, no
+  // gossip, no handoff.
   const net::LiveRunResult r =
       run_live_sharded(sharded_config(1, core::PolicyKind::kPrord));
   expect_conserved(r, 1);
   EXPECT_EQ(r.shards[0].adopted, 0u);
   EXPECT_EQ(r.shards[0].gossip_publishes, 0u);
-  // The unsharded runner on the same config conserves identically.
-  const net::LiveRunResult plain =
-      net::run_live(sharded_config(1, core::PolicyKind::kPrord));
-  ASSERT_TRUE(plain.started);
-  EXPECT_TRUE(plain.conserved());
-  EXPECT_EQ(plain.dist_requests, r.dist_requests);
-  EXPECT_EQ(plain.routed, r.routed);
+}
+
+TEST(ShardedLive, OneShardLiveScrapeReportsRouting) {
+  // A single shard never gossips, so its live scrape must read routing
+  // commits from its own RoutingCore rather than the gossip board.
+  const net::LiveRunResult r =
+      run_live_sharded(sharded_config(1, core::PolicyKind::kPrord));
+  expect_conserved(r, 1);
+  EXPECT_EQ(scrape_value(r.metrics_scrape, "prord_live_routed_total"),
+            static_cast<double>(r.dist_requests));
+  EXPECT_GT(scrape_value(r.metrics_scrape, "prord_live_dispatches_total"),
+            0.0);
+}
+
+TEST(ShardedLive, OneShardScrapeAndRegistryCarryFullCatalogue) {
+  net::LiveConfig cfg = sharded_config(1, core::PolicyKind::kPrord);
+  cfg.trace_sample_rate = 0.1;  // spans feed prord_live_hop_us
+  const net::LiveRunResult r = run_live_sharded(cfg);
+  expect_conserved(r, 1);
+  for (const char* name :
+       {"prord_live_trace_sample_rate", "prord_live_slo_burn_rate",
+        "prord_live_slo_error_rate", "prord_live_slo_violating",
+        "prord_live_slo_latency_objective_us",
+        "prord_live_slo_availability_objective",
+        "prord_live_routes_via_total"}) {
+    EXPECT_TRUE(scrape_has(r.metrics_scrape, name)) << name;
+    EXPECT_TRUE(registry_has(r.registry, name)) << name;
+  }
+  // The per-hop decomposition is built after the run only.
+  EXPECT_TRUE(registry_has(r.registry, "prord_live_hop_us"));
 }
 
 TEST(ShardedLive, TwoShardsHandoffModeSpreadsAcceptsConserves) {
