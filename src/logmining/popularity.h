@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "simcore/sim_time.h"
@@ -56,17 +57,24 @@ class PopularityTracker {
   /// Rank table sorted by rank descending (Algorithm 3 step (i)).
   std::vector<RankEntry> rank_table(sim::SimTime now) const;
 
-  /// Fills `out` with the first `k` rows of rank_table(now) — byte-for-byte
-  /// the same prefix, selected without sorting the whole table. The
-  /// comparator (rank descending, file ascending) is a total order, so the
-  /// top-k set and its ordering are unique; and because decay never grows a
-  /// counter (decayed(e, now) <= e.value always), entries whose stored
-  /// value is already below the running k-th best rank are skipped without
-  /// paying the per-entry exp2. `out` is cleared first; callers reuse it
-  /// across planning rounds to keep the hot path allocation-free. Honors
-  /// set_legacy_rank_selection for perf-baseline runs.
+  /// Fills `out` with the first `k` rows of rank_table(now): the same
+  /// files in the same order with bitwise-equal ranks. `out` is cleared
+  /// first; callers reuse it across planning rounds.
+  ///
+  /// Incremental and exact. Each entry has the time-invariant key
+  /// log2(value) + stamp/halflife (log2(value) without decay), and
+  /// decayed(e, now) = 2^(key - now/halflife) whenever now >= stamp, so
+  /// rank order is key order. seed() and record_hit() only raise keys.
+  /// A call keeps the *band* — the entries whose key is within a small
+  /// margin of the k-th largest — and the next call with the same `k`
+  /// re-selects from that band plus the entries touched since: no other
+  /// entry's key moved, so none can enter. Only the new band pays for
+  /// decayed() and the sort. The first call, a new `k`, and any call
+  /// after age(), load(), copy or move rescan the whole table. A query
+  /// time before some stamp, a k-th rank near the underflow range, and
+  /// set_legacy_rank_selection take rank_table's full sort instead.
   void top_rank_table(sim::SimTime now, std::size_t k,
-                      std::vector<RankEntry>& out) const;
+                      std::vector<RankEntry>& out);
 
   std::size_t num_files() const noexcept { return entries_.size(); }
 
@@ -90,11 +98,51 @@ class PopularityTracker {
   struct Entry {
     double value = 0.0;
     sim::SimTime stamp = 0;
+    bool touched = false;  ///< queued in band_.touched
   };
+  using Node = std::pair<const trace::FileId, Entry>;
+  struct Slot {
+    Node* node;
+    double key;
+  };
+  /// top_rank_table's state between calls. It points into entries_, so a
+  /// copied or moved tracker (and the moved-from one) starts empty and
+  /// rescans. While k != 0, an entry is flagged touched exactly when it
+  /// is in `touched`.
+  struct Band {
+    std::size_t k = 0;  ///< 0: no band, the next call rescans
+    double kth_key = 0.0;
+    std::vector<Slot> slots;  ///< key descending, file ascending
+    std::vector<Node*> touched;
+    std::vector<Slot> merged;  ///< scratch for re-sorting `slots`
+
+    Band() = default;
+    Band(const Band&) noexcept {}
+    Band(Band&& other) noexcept { other.clear(); }
+    Band& operator=(const Band&) noexcept {
+      clear();
+      return *this;
+    }
+    Band& operator=(Band&& other) noexcept {
+      clear();
+      other.clear();
+      return *this;
+    }
+    void clear() noexcept {
+      k = 0;
+      slots.clear();
+      touched.clear();
+    }
+  };
+
   double decayed(const Entry& e, sim::SimTime now) const;
+  void touch(Node& node);
+  bool refresh_band(std::size_t k);
 
   sim::SimTime halflife_;
+  sim::SimTime max_stamp_ = 0;  ///< no entry's stamp is later
   std::unordered_map<trace::FileId, Entry> entries_;
+  Band band_;
 };
 
 }  // namespace prord::logmining

@@ -1,6 +1,7 @@
 #include "logmining/replication.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace prord::logmining {
@@ -28,8 +29,11 @@ std::vector<ReplicaDirective> plan_replication(
   std::vector<ReplicaDirective> plan;
   if (rank_table.empty()) return plan;
 
-  // The table arrives sorted (Algorithm 3 step (i)); trust but verify in
-  // debug builds only — a full scan per round would dominate the planner.
+  // The table arrives sorted (Algorithm 3 step (i)); only debug builds
+  // check, since a full scan per round would dominate the planner.
+  assert(std::is_sorted(
+      rank_table.begin(), rank_table.end(),
+      [](const RankEntry& a, const RankEntry& b) { return a.rank > b.rank; }));
   const double top = rank_table.front().rank;
   if (top <= 0.0) return plan;
   const double t1 = top * options.t1_fraction_of_top;

@@ -319,9 +319,9 @@ void Prord::run_replication_round(cluster::Cluster& cluster) {
     plan_opts.max_directives = options_.max_replication_pushes * 4;
   // The planner consumes at most max_directives rows (T1 comes from the
   // table's front, and the loop breaks at the directive cap or the
-  // min_rank floor), so a bounded top-k selection sees the exact rows the
-  // full sort would hand it — without rebuilding and sorting the whole
-  // table every interval. rank_scratch_ is reused across rounds.
+  // min_rank floor), so a top-k selection sees the exact rows the full
+  // sort would hand it. The tracker re-selects only around what changed
+  // since the last round; rank_scratch_ is reused across rounds.
   model_->popularity().top_rank_table(now, plan_opts.max_directives,
                                       rank_scratch_);
   const auto plan =

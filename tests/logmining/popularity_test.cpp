@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -241,12 +243,12 @@ TEST(Replication, MonotoneTiersDownTheTable) {
 // selection paths rests on this.
 // ---------------------------------------------------------------------------
 
-void expect_prefix_identical(const PopularityTracker& t, sim::SimTime now,
+void expect_prefix_identical(PopularityTracker& t, sim::SimTime now,
                              std::size_t k) {
   auto expected = t.rank_table(now);
   if (expected.size() > k) expected.resize(k);
   std::vector<RankEntry> got;
-  got.reserve(1);  // deliberately tiny: exercise mid-scan compaction
+  got.reserve(1);  // deliberately tiny: the selection must grow it
   t.top_rank_table(now, k, got);
   ASSERT_EQ(got.size(), expected.size()) << "k=" << k;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -300,6 +302,165 @@ TEST(Popularity, TopRankTableLegacySwitchSameBytes) {
     EXPECT_EQ(fast[i].file, legacy[i].file);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[i].rank),
               std::bit_cast<std::uint64_t>(legacy[i].rank));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// top_rank_table carries a band of candidates from one call to the next.
+// These drive a tracker through many replication rounds and bit-compare
+// every round against the full sort, across each event that must either
+// keep the band exact or make the next call rescan.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kPlanRows = 256;  // Prord's default max_directives
+
+/// One replication interval: `hits` skewed hits at non-decreasing times
+/// after `now`, which then advances past the last hit.
+void hit_round(PopularityTracker& t, std::mt19937_64& rng, int files,
+               int hits, sim::SimTime gap, sim::SimTime& now) {
+  for (int i = 0; i < hits; ++i) {
+    now += static_cast<sim::SimTime>(rng() % (gap / hits + 1));
+    const auto span = 1 + rng() % static_cast<std::uint64_t>(files);
+    t.record_hit(static_cast<trace::FileId>(rng() % span), now);
+  }
+  now += static_cast<sim::SimTime>(rng() % (gap + 1));
+}
+
+TEST(Popularity, TopRankTableExactAcrossRounds) {
+  // Slow decay (the paper cell's regime), no decay (rank ties broken by
+  // file id), and a 1 ms halflife with second-long gaps, so old ranks
+  // underflow to subnormal and zero while fresh ones stay normal.
+  const sim::SimTime halflives[] = {sim::sec(300.0), 0, sim::msec(1)};
+  for (const sim::SimTime halflife : halflives) {
+    std::mt19937_64 rng(20261017 + static_cast<std::uint64_t>(halflife));
+    PopularityTracker t(halflife);
+    sim::SimTime now = 0;
+    for (int round = 0; round < 120; ++round) {
+      const auto gap = halflife == sim::msec(1) ? sim::sec(1.5) : sim::sec(2.0);
+      hit_round(t, rng, 3000, 1 + static_cast<int>(rng() % 40), gap, now);
+      expect_prefix_identical(t, now, kPlanRows);
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << "halflife=" << halflife << " round " << round;
+        return;
+      }
+    }
+  }
+}
+
+TEST(Popularity, TopRankTableExactAroundStateChanges) {
+  std::mt19937_64 rng(15);
+  PopularityTracker t(sim::sec(300.0));
+  sim::SimTime now = 0;
+  const auto round = [&](std::size_t k) {
+    hit_round(t, rng, 2000, 1 + static_cast<int>(rng() % 40), sim::sec(2.0),
+              now);
+    expect_prefix_identical(t, now, k);
+  };
+  for (int i = 0; i < 20; ++i) round(kPlanRows);
+
+  // A hit stamped after the query time freezes that rank at its value.
+  t.record_hit(3, now + sim::sec(30.0));
+  expect_prefix_identical(t, now, kPlanRows);
+  expect_prefix_identical(t, now + sim::sec(30.0), kPlanRows);
+  now += sim::sec(30.0);
+  for (int i = 0; i < 5; ++i) round(kPlanRows);
+
+  t.age(0.5);
+  expect_prefix_identical(t, now, kPlanRows);
+  for (int i = 0; i < 5; ++i) round(kPlanRows);
+
+  // Reload the table saved one round ago: stamps and values step back.
+  std::stringstream saved;
+  t.save(saved);
+  round(kPlanRows);
+  ASSERT_TRUE(t.load(saved));
+  expect_prefix_identical(t, now, kPlanRows);
+  for (int i = 0; i < 5; ++i) round(kPlanRows);
+
+  // A table loaded from a longer run holds stamps after the query time.
+  PopularityTracker longer(sim::sec(300.0));
+  for (trace::FileId f = 0; f < 400; ++f)
+    longer.record_hit(f, now + sim::sec(static_cast<double>(f)));
+  std::stringstream ahead;
+  longer.save(ahead);
+  ASSERT_TRUE(t.load(ahead));
+  expect_prefix_identical(t, now, kPlanRows);
+  now += sim::sec(400.0);
+  for (int i = 0; i < 5; ++i) round(kPlanRows);
+
+  std::vector<trace::Request> offline(3000);
+  for (auto& r : offline)
+    r.file = static_cast<trace::FileId>(rng() % (1 + rng() % 2500));
+  t.seed(offline);
+  expect_prefix_identical(t, now, kPlanRows);
+  for (int i = 0; i < 5; ++i) round(kPlanRows);
+
+  for (const std::size_t k : {std::size_t{64}, std::size_t{64},
+                              std::size_t{1000}, std::size_t{1}, kPlanRows})
+    round(k);
+}
+
+TEST(Popularity, TopRankTableExactOnRoundedTies) {
+  // value = 1.37 * 2^((240 - stamp) / halflife) gives every file the same
+  // exact rank at any later time. Computed, the ranks split into a few
+  // values a last bit apart, and the keys into others, in no matching
+  // order. The band's margin must hold the whole group, or the cut by
+  // key drops files the cut by (rank, file) keeps.
+  constexpr sim::SimTime halflife = 3;
+  std::mt19937_64 rng(4);
+  std::stringstream table;
+  table << "popularity " << halflife << " 600\n";
+  for (trace::FileId f = 0; f < 600; ++f) {
+    const auto stamp = static_cast<sim::SimTime>(rng() % 240);
+    const double value =
+        1.37 * std::exp2(static_cast<double>(240 - stamp) / halflife);
+    table << f << ' ' << std::bit_cast<std::uint64_t>(value) << ' ' << stamp
+          << '\n';
+  }
+  table << "end\n";
+  PopularityTracker t(halflife);
+  ASSERT_TRUE(t.load(table));
+  sim::SimTime now = 300;
+  for (int round = 0; round < 20; ++round) {
+    expect_prefix_identical(t, now, 100);
+    t.record_hit(static_cast<trace::FileId>(rng() % 600), now);
+    now += 1 + static_cast<sim::SimTime>(rng() % 3);
+  }
+}
+
+TEST(Popularity, TopRankTableCopiesStayExact) {
+  std::mt19937_64 rng(99);
+  PopularityTracker original(sim::sec(300.0));
+  sim::SimTime now = 0;
+  for (int i = 0; i < 10; ++i) {
+    hit_round(original, rng, 1500, 30, sim::sec(2.0), now);
+    expect_prefix_identical(original, now, kPlanRows);
+  }
+
+  PopularityTracker copy = original;
+  PopularityTracker assigned(sim::sec(300.0));
+  expect_prefix_identical(assigned, now, kPlanRows);  // give it a band first
+  assigned = original;
+  for (auto* t : {&original, &copy, &assigned})
+    expect_prefix_identical(*t, now, kPlanRows);
+
+  // Each gets its own hits; none may select from another's table.
+  for (int i = 0; i < 10; ++i) {
+    const sim::SimTime start = now;
+    for (auto* t : {&original, &copy, &assigned}) {
+      sim::SimTime end = start;
+      hit_round(*t, rng, 1500, 30, sim::sec(2.0), end);
+      now = std::max(now, end);
+    }
+    for (auto* t : {&original, &copy, &assigned})
+      expect_prefix_identical(*t, now, kPlanRows);
+  }
+
+  PopularityTracker moved = std::move(copy);
+  for (int i = 0; i < 5; ++i) {
+    hit_round(moved, rng, 1500, 30, sim::sec(2.0), now);
+    expect_prefix_identical(moved, now, kPlanRows);
+    expect_prefix_identical(original, now, kPlanRows);
   }
 }
 
