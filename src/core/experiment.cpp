@@ -313,7 +313,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.obs.metrics) {
     player_opts.counters =
         register_player_counters(batch, std::string(policy->name()));
-    batch.set_write_through(!config.obs.batch_metrics);
   }
 
   // Fault injection hits only the measured run (the warm-up above played

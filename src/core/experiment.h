@@ -64,12 +64,6 @@ struct ObsOptions {
   /// Share of requests traced into ExperimentResult::spans (0 = off,
   /// 1 = every request). Sampling is a pure hash of the request index.
   double trace_sample_rate = 0.0;
-  /// Batch the player's per-request counter updates (obs::MetricBatch)
-  /// and fold them into the registry on epoch flushes. Off routes every
-  /// bump through the registry's canonical-key path immediately —
-  /// bench_perf's baseline mode. Exported bytes are identical either way.
-  bool batch_metrics = true;
-
   bool any() const noexcept {
     return metrics || sample_interval > 0 || trace_sample_rate > 0;
   }
@@ -197,8 +191,8 @@ struct ExperimentResult {
   std::uint64_t sim_events = 0;
   /// Wall-clock seconds spent inside the simulation loop (the two
   /// play_workload calls) — bench_perf's events/sec denominator. Excludes
-  /// site/trace generation and offline mining, which are identical in
-  /// every queue/pool/metrics mode and would only dilute the comparison.
+  /// site/trace generation and offline mining, which would dilute the
+  /// event-loop rate.
   double sim_wall_seconds = 0.0;
 
   // PRORD-family introspection (0 for other policies).

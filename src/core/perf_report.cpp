@@ -28,6 +28,20 @@ util::JsonValue scenario_to_json(const PerfScenario& s) {
   return v;
 }
 
+/// First line of `command`'s stdout without its line break; empty when
+/// the command cannot run or prints nothing.
+std::string first_line_of(const char* command) {
+  std::string line;
+  if (FILE* pipe = ::popen(command, "r")) {
+    char buf[128] = {0};
+    if (std::fgets(buf, sizeof buf, pipe)) line = buf;
+    ::pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+    line.pop_back();
+  return line;
+}
+
 }  // namespace
 
 util::JsonValue perf_report_to_json(const PerfReport& report) {
@@ -72,16 +86,14 @@ std::string detect_git_sha() {
   }
   // Local runs: ask git. popen is fine here — this is a bench binary, not
   // simulation code.
-  if (FILE* pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[128] = {0};
-    std::string sha;
-    if (std::fgets(buf, sizeof buf, pipe)) sha = buf;
-    ::pclose(pipe);
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-      sha.pop_back();
-    if (sha.size() >= 7) return sha;
-  }
-  return "unknown";
+  std::string sha = first_line_of("git rev-parse HEAD 2>/dev/null");
+  if (sha.size() < 7) return "unknown";
+  // A report measured on a modified tree must not pass for the commit.
+  if (!first_line_of("git status --porcelain --untracked-files=no "
+                     "2>/dev/null")
+           .empty())
+    sha += "-dirty";
+  return sha;
 }
 
 std::uint64_t unix_now_ms() {

@@ -18,10 +18,12 @@ namespace prord::core {
 
 inline constexpr int kPerfSchemaVersion = 2;
 
-/// One timed scenario run (one mode of one workload).
+/// One timed scenario run.
 struct PerfScenario {
   std::string name;  ///< e.g. "fig8_memory_sweep"
-  std::string mode;  ///< "optimized" | "baseline"
+  /// bench_perf writes "optimized"; the schema also admits "baseline",
+  /// which reports from before the count gate carry.
+  std::string mode;
   /// Wall-clock bracket (unix epoch ms). Monotonic across the scenario
   /// list — the schema test checks it.
   std::uint64_t t_start_ms = 0;
@@ -41,7 +43,7 @@ struct PerfScenario {
   std::uint32_t shards = 0;
 };
 
-/// One named optimized/baseline ratio (e.g. fig8 events/sec speedup).
+/// One named ratio between two cells (e.g. the live tracing tax).
 struct PerfRatio {
   std::string name;
   double value = 0.0;
@@ -66,7 +68,8 @@ std::string render_perf_report(const PerfReport& report);
 bool write_perf_report(const PerfReport& report, const std::string& path);
 
 /// Commit id for the report: $GITHUB_SHA, else $PRORD_GIT_SHA, else
-/// `git rev-parse HEAD`, else "unknown".
+/// `git rev-parse HEAD` with "-dirty" appended when tracked files differ
+/// from it, else "unknown".
 std::string detect_git_sha();
 
 /// Wall clock in unix epoch milliseconds.

@@ -208,7 +208,7 @@ void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
                                        std::vector<RankEntry>& out) {
   out.clear();
   if (k == 0) return;
-  if (!legacy_rank_selection() && now >= max_stamp_ && refresh_band(k)) {
+  if (now >= max_stamp_ && refresh_band(k)) {
     for (const Slot& s : band_.slots)
       out.push_back(RankEntry{s.node->first, decayed(s.node->second, now)});
     // Key order is rank order except among near-ties, so an insertion
@@ -223,9 +223,9 @@ void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
     if (out.size() > k) out.resize(k);
     if (out.empty() || out.back().rank >= kMinBandRank) return;
   }
-  // Full sort: the legacy baseline, and every case the band cannot vouch
-  // for (ranks frozen at a stamp later than `now`, or near underflow, where
-  // exp2 rounding creates ties the keys cannot see).
+  // Full sort: every case the band cannot vouch for (ranks frozen at a
+  // stamp later than `now`, or near underflow, where exp2 rounding
+  // creates ties the keys cannot see).
   band_.clear();
   auto table = rank_table(now);
   if (table.size() > k) table.resize(k);

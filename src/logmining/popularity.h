@@ -6,7 +6,6 @@
 // exponential decay so "the recent history" (Algorithm 3) dominates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -24,21 +23,6 @@ struct RankEntry {
   double rank = 0.0;  ///< decayed hit count
 };
 
-namespace detail {
-inline std::atomic<bool> g_legacy_rank_selection{false};
-}  // namespace detail
-
-/// Perf-baseline switch (see docs/PERF.md): when true, top_rank_table
-/// routes through the legacy full-table rebuild + full sort that the
-/// replication round originally paid every interval. Toggle only between
-/// runs; the selected prefix is byte-identical either way.
-inline void set_legacy_rank_selection(bool on) noexcept {
-  detail::g_legacy_rank_selection.store(on, std::memory_order_relaxed);
-}
-inline bool legacy_rank_selection() noexcept {
-  return detail::g_legacy_rank_selection.load(std::memory_order_relaxed);
-}
-
 class PopularityTracker {
  public:
   /// `halflife` controls decay of online hits; 0 disables decay (pure
@@ -54,7 +38,9 @@ class PopularityTracker {
   /// Current decayed rank of a file at time `now`.
   double rank(trace::FileId file, sim::SimTime now) const;
 
-  /// Rank table sorted by rank descending (Algorithm 3 step (i)).
+  /// Rank table sorted by rank descending (Algorithm 3 step (i)). A full
+  /// sort: top_rank_table's fallback and the reference its tests compare
+  /// against.
   std::vector<RankEntry> rank_table(sim::SimTime now) const;
 
   /// Fills `out` with the first `k` rows of rank_table(now): the same
@@ -71,8 +57,8 @@ class PopularityTracker {
   /// entry's key moved, so none can enter. Only the new band pays for
   /// decayed() and the sort. The first call, a new `k`, and any call
   /// after age(), load(), copy or move rescan the whole table. A query
-  /// time before some stamp, a k-th rank near the underflow range, and
-  /// set_legacy_rank_selection take rank_table's full sort instead.
+  /// time before some stamp and a k-th rank near the underflow range take
+  /// rank_table's full sort instead.
   void top_rank_table(sim::SimTime now, std::size_t k,
                       std::vector<RankEntry>& out);
 

@@ -9,8 +9,7 @@ MetricBatch::Handle MetricBatch::counter(std::string name, Labels labels,
   const Handle h = static_cast<Handle>(cells_.size());
   if (!help.empty()) registry_.set_help(name, std::move(help));
   // Upsert now so the series exists (at zero) even if never incremented —
-  // the export must not depend on whether batching is enabled or on
-  // whether any request took this path.
+  // the export must not depend on whether any request took this path.
   registry_.counter_add(name, labels, 0.0);
   cells_.push_back(Cell{std::move(name), std::move(labels), 0.0});
   return h;

@@ -8,14 +8,11 @@
 // epoch-sized flush interval the per-request cost is one array add.
 //
 // Determinism: every series is upserted (delta 0) at registration time, so
-// the exported series set is identical whether a counter was ever hit and
-// whether batching is on or off; flush order is registration order, and
-// counter addition is associative over doubles that are whole counts, so
-// the final values are byte-identical to per-request updates.
-//
-// The write-through mode exists for bench_perf's baseline pass: add()
-// degenerates to an immediate registry update through the full canonical-
-// key path, reproducing the pre-batching cost profile.
+// the exported series set is identical whether a counter was ever hit; flush
+// order is registration order, and counter addition is associative over
+// doubles that are whole counts, so the final values are byte-identical to
+// per-request MetricRegistry::counter_add updates (metric_batch_test pins
+// this against a registry fed the same stream).
 #pragma once
 
 #include <cstdint>
@@ -34,16 +31,10 @@ class MetricBatch {
   /// immediately (value += 0) so it exports even if never incremented.
   Handle counter(std::string name, Labels labels, std::string help = {});
 
-  /// Adds `delta` to the counter behind `h` (pending until flush, or
-  /// immediate in write-through mode).
+  /// Adds `delta` to the counter behind `h` (pending until flush).
   void add(Handle h, double delta = 1.0) {
     ++adds_;
-    Cell& c = cells_[h];
-    if (write_through_) {
-      registry_.counter_add(c.name, c.labels, delta);
-      return;
-    }
-    c.pending += delta;
+    cells_[h].pending += delta;
   }
 
   /// Folds all pending deltas into the registry, in registration order.
@@ -51,10 +42,6 @@ class MetricBatch {
 
   MetricRegistry& registry() noexcept { return registry_; }
   const MetricRegistry& registry() const noexcept { return registry_; }
-
-  /// Baseline switch: bypass batching and update the registry per add().
-  void set_write_through(bool on) noexcept { write_through_ = on; }
-  bool write_through() const noexcept { return write_through_; }
 
   std::uint64_t adds() const noexcept { return adds_; }
   std::uint64_t flushes() const noexcept { return flushes_; }
@@ -70,7 +57,6 @@ class MetricBatch {
 
   std::vector<Cell> cells_;
   MetricRegistry registry_;
-  bool write_through_ = false;
   std::uint64_t adds_ = 0;
   std::uint64_t flushes_ = 0;
 };

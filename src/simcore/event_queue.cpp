@@ -7,77 +7,13 @@
 
 namespace prord::sim {
 
-EventQueue::EventQueue(QueueImpl impl) : impl_(impl) {
-  if (impl_ == QueueImpl::kBucketed)
-    buckets_.resize(static_cast<std::size_t>(kLevels) * kBucketsPerLevel);
-}
+EventQueue::EventQueue()
+    : buckets_(static_cast<std::size_t>(kLevels) * kBucketsPerLevel) {}
 
 EventQueue::~EventQueue() {
   // Pool destruction destroys any still-constructed nodes (and their
   // closures); the side heaps and buckets only hold pointers into it.
 }
-
-// ---------------------------------------------------------------------------
-// Shared API
-
-EventHandle EventQueue::push(SimTime at, EventFn fn) {
-  assert(fn && "EventQueue::push: empty function");
-  const std::uint64_t seq = next_seq_++;
-  if (impl_ == QueueImpl::kBucketed) {
-    Node* n = wheel_push(at, std::move(fn), seq);
-    return EventHandle{seq, n};
-  }
-  heap_.push_back(HeapEntry{at, seq, std::move(fn)});
-  heap_sift_up(heap_.size() - 1);
-  heap_pending_.insert(seq);
-  return EventHandle{seq, nullptr};
-}
-
-bool EventQueue::cancel(EventHandle h) {
-  if (!h.valid()) return false;
-  if (impl_ == QueueImpl::kBucketed) return wheel_cancel(h);
-  // Seqs are unique, so a stale handle (event already fired or cancelled)
-  // is simply absent from pending_ and the cancel is a no-op.
-  if (heap_pending_.erase(h.seq) == 0) return false;
-  heap_cancelled_.insert(h.seq);
-  return true;
-}
-
-SimTime EventQueue::next_time() {
-  if (impl_ == QueueImpl::kBucketed) {
-    Node* n = find_min(/*take=*/false);
-    if (!n) throw std::logic_error("EventQueue::next_time: empty");
-    return n->at;
-  }
-  heap_drop_dead_head();
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
-  return heap_.front().at;
-}
-
-EventFn EventQueue::pop(SimTime& at) {
-  if (impl_ == QueueImpl::kBucketed) {
-    Node* n = find_min(/*take=*/true);
-    if (!n) throw std::logic_error("EventQueue::pop: empty");
-    at = n->at;
-    EventFn fn = std::move(n->fn);
-    if (at > cur_) cur_ = at;
-    --live_;
-    free_node(n);
-    return fn;
-  }
-  heap_drop_dead_head();
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
-  at = heap_.front().at;
-  EventFn fn = std::move(heap_.front().fn);
-  heap_pending_.erase(heap_.front().seq);
-  std::swap(heap_.front(), heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) heap_sift_down(0);
-  return fn;
-}
-
-// ---------------------------------------------------------------------------
-// Timing wheel
 
 namespace {
 /// std::push_heap comparator: true when a fires after b, i.e. min-heap on
@@ -90,8 +26,9 @@ struct FiresAfter {
 };
 }  // namespace
 
-EventQueue::Node* EventQueue::wheel_push(SimTime at, EventFn fn,
-                                         std::uint64_t seq) {
+EventHandle EventQueue::push(SimTime at, EventFn fn) {
+  assert(fn && "EventQueue::push: empty function");
+  const std::uint64_t seq = next_seq_++;
   Node* n = node_pool_.acquire();
   n->at = at;
   n->seq = seq;
@@ -99,16 +36,34 @@ EventQueue::Node* EventQueue::wheel_push(SimTime at, EventFn fn,
   n->fn = std::move(fn);
   place(n);
   ++live_;
-  return n;
+  return EventHandle{seq, n};
 }
 
-bool EventQueue::wheel_cancel(EventHandle h) {
+bool EventQueue::cancel(EventHandle h) {
+  if (!h.valid()) return false;
   Node* n = static_cast<Node*>(h.node);
   if (!n || n->seq != h.seq) return false;  // fired, cancelled, or reused
   n->seq = 0;  // dead; the list/heap entry is reclaimed lazily
   n->fn = nullptr;  // drop captures now, not when the clock passes it
   --live_;
   return true;
+}
+
+SimTime EventQueue::next_time() {
+  Node* n = find_min(/*take=*/false);
+  if (!n) throw std::logic_error("EventQueue::next_time: empty");
+  return n->at;
+}
+
+EventFn EventQueue::pop(SimTime& at) {
+  Node* n = find_min(/*take=*/true);
+  if (!n) throw std::logic_error("EventQueue::pop: empty");
+  at = n->at;
+  EventFn fn = std::move(n->fn);
+  if (at > cur_) cur_ = at;
+  --live_;
+  free_node(n);
+  return fn;
 }
 
 void EventQueue::place(Node* n) {
@@ -278,42 +233,6 @@ EventQueue::Node* EventQueue::find_min(bool take) {
       continue;
     }
     return nullptr;  // unreachable while live_ > 0
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reference heap (the original implementation, verbatim semantics)
-
-void EventQueue::heap_drop_dead_head() {
-  while (!heap_.empty()) {
-    auto it = heap_cancelled_.find(heap_.front().seq);
-    if (it == heap_cancelled_.end()) return;
-    heap_cancelled_.erase(it);
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) heap_sift_down(0);
-  }
-}
-
-void EventQueue::heap_sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!(heap_[parent] > heap_[i])) break;
-    std::swap(heap_[parent], heap_[i]);
-    i = parent;
-  }
-}
-
-void EventQueue::heap_sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-    std::size_t smallest = i;
-    if (l < n && heap_[smallest] > heap_[l]) smallest = l;
-    if (r < n && heap_[smallest] > heap_[r]) smallest = r;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
   }
 }
 

@@ -1,34 +1,23 @@
 // Pending-event set for the discrete-event simulator.
 //
-// Two interchangeable implementations behind one API:
-//
-//  * kBucketed (default) — a three-level timing wheel keyed on SimTime.
-//    Leaf buckets are 1 us wide, so every bucket list holds exactly one
-//    timestamp and plain FIFO append reproduces the (time, sequence)
-//    dispatch order of the old heap bit for bit. Higher levels cover
-//    ~2 ms and ~4.3 s windows; events beyond the wheel span wait in a
-//    small overflow heap and cascade down as the clock reaches their
-//    window. Push/pop/cancel are O(1) amortized, nodes come from a
-//    freelist pool (util::FixedPool), and occupancy bitmaps make empty
-//    regions skippable at one ctz per 64 buckets. Pushes below the
-//    current clock (live-mode horizon replays, fuzz tests) land in a
-//    "past" mini-heap that is always drained first, so time order holds
-//    even for non-monotone pushes.
-//
-//  * kHeapReference — the original binary heap keyed on (time, sequence)
-//    with unordered_set cancellation bookkeeping. Kept as the reference
-//    model for the equivalence fuzz suite and as bench_perf's honest
-//    pre-optimization baseline; not intended for production runs.
+// A three-level timing wheel keyed on SimTime. Leaf buckets are 1 us
+// wide, so every bucket list holds exactly one timestamp and plain FIFO
+// append yields (time, sequence) dispatch order. Higher levels cover
+// ~2 ms and ~4.3 s windows; events beyond the wheel span wait in a small
+// overflow heap and cascade down as the clock reaches their window.
+// Push/pop/cancel are O(1) amortized, nodes come from a freelist pool
+// (util::FixedPool), and occupancy bitmaps make empty regions skippable
+// at one ctz per 64 buckets. Pushes below the current clock (live-mode
+// horizon replays, fuzz tests) land in a "past" mini-heap that is always
+// drained first, so time order holds even for non-monotone pushes.
 //
 // The sequence number makes simultaneous events fire in scheduling order,
-// which keeps runs deterministic regardless of queue internals; both
-// implementations honour it exactly, which the equivalence tests pin.
+// which keeps runs deterministic. tests/simcore/event_queue_equivalence_test
+// pins that order against an ordered model keyed on (time, push order).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "simcore/sim_time.h"
@@ -45,35 +34,17 @@ inline constexpr std::size_t kEventFnInlineBytes = 152;
 
 using EventFn = util::InplaceFunction<void(), kEventFnInlineBytes>;
 
-enum class QueueImpl : std::uint8_t {
-  kBucketed,       ///< timing-wheel production queue
-  kHeapReference,  ///< original binary heap (tests, perf baseline)
-};
-
-namespace detail {
-inline std::atomic<QueueImpl> g_default_queue_impl{QueueImpl::kBucketed};
-}  // namespace detail
-
-/// Process-wide default for newly constructed queues/simulators. Used by
-/// bench_perf to run its baseline pass; tests pass the impl explicitly.
-inline void set_default_queue_impl(QueueImpl impl) noexcept {
-  detail::g_default_queue_impl.store(impl, std::memory_order_relaxed);
-}
-inline QueueImpl default_queue_impl() noexcept {
-  return detail::g_default_queue_impl.load(std::memory_order_relaxed);
-}
-
 /// Handle for cancelling a scheduled event. Cancellation is lazy: the slot
 /// is marked dead and reclaimed when the clock reaches it.
 struct EventHandle {
   std::uint64_t seq = 0;
-  void* node = nullptr;  ///< wheel node; unused by the reference heap
+  void* node = nullptr;  ///< wheel node
   bool valid() const noexcept { return seq != 0; }
 };
 
 class EventQueue {
  public:
-  explicit EventQueue(QueueImpl impl = default_queue_impl());
+  EventQueue();
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -86,9 +57,7 @@ class EventQueue {
   bool cancel(EventHandle h);
 
   bool empty() const noexcept { return size() == 0; }
-  std::size_t size() const noexcept {
-    return impl_ == QueueImpl::kBucketed ? live_ : heap_pending_.size();
-  }
+  std::size_t size() const noexcept { return live_; }
 
   /// Time of the earliest live event; queue must be non-empty.
   SimTime next_time();
@@ -97,10 +66,7 @@ class EventQueue {
   /// Returns the event's time through `at`.
   EventFn pop(SimTime& at);
 
-  QueueImpl impl() const noexcept { return impl_; }
-
  private:
-  // ---- timing wheel ----------------------------------------------------
   static constexpr int kBits = 11;                 // 2048 buckets per level
   static constexpr int kLevels = 3;
   static constexpr int kBucketsPerLevel = 1 << kBits;
@@ -142,11 +108,10 @@ class EventQueue {
   int scan_bits(int level, int from) const noexcept;
   Node* find_min(bool take);
 
-  Node* wheel_push(SimTime at, EventFn fn, std::uint64_t seq);
-  bool wheel_cancel(EventHandle h);
-
-  util::FixedPool<Node> node_pool_{1024, /*honor_bypass=*/false};
-  std::vector<Bucket> buckets_;  // kLevels * kBucketsPerLevel, bucketed only
+  // Pool slots outlive the nodes released into them, so cancel() can
+  // read a stale handle's node and reject it by sequence number.
+  util::FixedPool<Node> node_pool_{1024};
+  std::vector<Bucket> buckets_;  // kLevels * kBucketsPerLevel
   std::array<std::array<std::uint64_t, kWords>, kLevels> bits_{};
   std::vector<Node*> past_;      // min-heap: pushes below cur_
   std::vector<Node*> overflow_;  // min-heap: beyond the wheel span
@@ -155,27 +120,6 @@ class EventQueue {
   SimTime l2_block_ = 0;         // cur_ >> 2*kBits at last L2 cascade
   SimTime top_block_ = 0;        // cur_ >> 3*kBits at last overflow drain
   std::size_t live_ = 0;
-
-  // ---- reference heap (original implementation) ------------------------
-  struct HeapEntry {
-    SimTime at;
-    std::uint64_t seq;
-    EventFn fn;
-
-    bool operator>(const HeapEntry& o) const noexcept {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
-  void heap_drop_dead_head();
-  void heap_sift_up(std::size_t i);
-  void heap_sift_down(std::size_t i);
-
-  std::vector<HeapEntry> heap_;
-  std::unordered_set<std::uint64_t> heap_pending_;    // seqs still scheduled
-  std::unordered_set<std::uint64_t> heap_cancelled_;  // tombstones in heap_
-
-  QueueImpl impl_;
   std::uint64_t next_seq_ = 1;
 };
 

@@ -18,9 +18,7 @@ namespace prord::sim {
 
 class Simulator {
  public:
-  /// `impl` selects the pending-set implementation; the process default is
-  /// the bucketed wheel, bench_perf's baseline pass flips it globally.
-  explicit Simulator(QueueImpl impl = default_queue_impl()) : queue_(impl) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

@@ -6,15 +6,9 @@
 // completion chains). InplaceFunction stores callables up to InlineBytes
 // in place and only falls back to the heap for oversized ones, which takes
 // the event hot path from one malloc/free per event to zero.
-//
-// A process-global "legacy boxing" switch exists purely for A/B perf
-// baselines (bench_perf): when enabled, any callable larger than
-// std::function's historical 16-byte SSO window is heap-allocated, which
-// reproduces the allocation profile of the std::function-based event loop
-// this type replaced. It is not meant to be toggled mid-run.
+// heap_allocated() reports which storage a callable got.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <functional>  // std::bad_function_call
@@ -23,24 +17,6 @@
 #include <utility>
 
 namespace prord::util {
-
-namespace detail {
-inline std::atomic<bool> g_inplace_legacy_boxing{false};
-/// std::function (libstdc++/libc++) keeps callables up to two words
-/// inline; anything larger is heap-allocated. The legacy baseline mode
-/// mimics exactly that threshold.
-inline constexpr std::size_t kLegacySsoBytes = 16;
-}  // namespace detail
-
-/// Perf-baseline switch: reproduce std::function's allocation behaviour.
-/// Toggle only while no simulation is in flight (bench_perf does this
-/// between scenario runs).
-inline void set_legacy_callable_boxing(bool on) noexcept {
-  detail::g_inplace_legacy_boxing.store(on, std::memory_order_relaxed);
-}
-inline bool legacy_callable_boxing() noexcept {
-  return detail::g_inplace_legacy_boxing.load(std::memory_order_relaxed);
-}
 
 template <typename Signature, std::size_t InlineBytes = 48>
 class InplaceFunction;  // undefined; specialized below
@@ -130,17 +106,13 @@ class InplaceFunction<R(Args...), InlineBytes> {
     using D = std::decay_t<F>;
     constexpr bool fits = sizeof(D) <= InlineBytes &&
                           alignof(D) <= alignof(std::max_align_t);
-    const bool box = sizeof(D) > detail::kLegacySsoBytes &&
-                     legacy_callable_boxing();
     if constexpr (fits) {
-      if (!box) {
-        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-        vt_ = &InlineOps<D>::vtable;
-        return;
-      }
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vt_ = &InlineOps<D>::vtable;
+    } else {
+      *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
+      vt_ = &HeapOps<D>::vtable;
     }
-    *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
-    vt_ = &HeapOps<D>::vtable;
   }
 
   void move_from(InplaceFunction& other) noexcept {

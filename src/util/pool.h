@@ -10,13 +10,13 @@
 // of the parallel runner.
 //
 // Double release is detected eagerly and throws (the sanitizer job and
-// tests/util/pool_test.cpp both lean on this). A process-global bypass
-// switch routes acquire/release to plain new/delete so bench_perf can
-// reproduce the pre-pool allocation profile in its baseline mode.
+// tests/util/pool_test.cpp both lean on this). Released slots stay owned
+// by the pool until it dies, so a stale pointer still reads valid memory
+// (the event queue relies on this to reject stale cancel handles).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -25,38 +25,19 @@
 
 namespace prord::util {
 
-namespace detail {
-inline std::atomic<bool> g_pool_bypass{false};
-}  // namespace detail
-
-/// Perf-baseline switch: make every pool fall through to new/delete.
-/// Toggle only between runs, never while objects are live in a pool.
-inline void set_pool_bypass(bool on) noexcept {
-  detail::g_pool_bypass.store(on, std::memory_order_relaxed);
-}
-inline bool pool_bypass() noexcept {
-  return detail::g_pool_bypass.load(std::memory_order_relaxed);
-}
-
 template <typename T>
 class FixedPool {
  public:
-  /// `honor_bypass` opts this pool into the global baseline switch. Pools
-  /// whose slot memory must outlive released objects (the event queue
-  /// peeks at freed nodes to reject stale cancel handles) pass false.
-  explicit FixedPool(std::size_t first_chunk_capacity = 256,
-                     bool honor_bypass = true)
+  explicit FixedPool(std::size_t first_chunk_capacity = 256)
       : first_chunk_capacity_(first_chunk_capacity ? first_chunk_capacity
-                                                   : 1),
-        honor_bypass_(honor_bypass) {}
+                                                   : 1) {}
 
   FixedPool(const FixedPool&) = delete;
   FixedPool& operator=(const FixedPool&) = delete;
 
   ~FixedPool() {
     // Destroy stragglers so a pool abandoned mid-run (exception unwind)
-    // doesn't leak the objects' own resources. Bypass allocations are the
-    // caller's to release before the pool dies.
+    // doesn't leak the objects' own resources.
     for (auto& chunk : chunks_) {
       for (std::size_t i = 0; i < chunk.count; ++i) {
         Slot& s = chunk.slots[i];
@@ -67,17 +48,9 @@ class FixedPool {
 
   template <typename... Args>
   T* acquire(Args&&... args) {
-    Slot* slot;
-    if (honor_bypass_ && pool_bypass()) {
-      slot = new Slot;
-      slot->from_heap = true;
-      ++heap_fallbacks_;
-    } else {
-      if (!free_head_) grow();
-      slot = free_head_;
-      free_head_ = slot->next_free;
-      slot->from_heap = false;
-    }
+    if (!free_head_) grow();
+    Slot* slot = free_head_;
+    free_head_ = slot->next_free;
     T* obj = ::new (static_cast<void*>(slot->storage)) T(
         std::forward<Args>(args)...);
     slot->live = true;
@@ -95,10 +68,6 @@ class FixedPool {
     obj->~T();
     slot->live = false;
     --in_use_;
-    if (slot->from_heap) {
-      delete slot;
-      return;
-    }
     slot->next_free = free_head_;
     free_head_ = slot;
   }
@@ -108,14 +77,12 @@ class FixedPool {
   std::size_t chunk_count() const noexcept { return chunks_.size(); }
   std::size_t high_water() const noexcept { return high_water_; }
   std::uint64_t total_acquires() const noexcept { return total_acquires_; }
-  std::uint64_t heap_fallbacks() const noexcept { return heap_fallbacks_; }
 
  private:
   struct Slot {
     alignas(T) unsigned char storage[sizeof(T)];
     Slot* next_free = nullptr;
     bool live = false;
-    bool from_heap = false;
   };
 
   struct Chunk {
@@ -152,12 +119,10 @@ class FixedPool {
   std::vector<Chunk> chunks_;
   Slot* free_head_ = nullptr;
   std::size_t first_chunk_capacity_;
-  bool honor_bypass_ = true;
   std::size_t capacity_ = 0;
   std::size_t in_use_ = 0;
   std::size_t high_water_ = 0;
   std::uint64_t total_acquires_ = 0;
-  std::uint64_t heap_fallbacks_ = 0;
 };
 
 }  // namespace prord::util

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -72,33 +73,68 @@ TEST(ObsDeterminism, ExportsAreByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.trace, parallel.trace);
 }
 
+/// Exported value of the player counter `name`, restricted to the series
+/// whose `via` label matches when `via` is given.
+double exported_counter(const obs::MetricRegistry& reg, std::string_view name,
+                        std::string_view via = {}) {
+  for (const auto& [key, m] : reg.series()) {
+    if (m.name != name) continue;
+    if (via.empty()) return m.value;
+    for (const auto& [label, value] : m.labels)
+      if (label == "via" && value == via) return m.value;
+  }
+  ADD_FAILURE() << "missing series " << name << " via=" << via;
+  return -1.0;
+}
+
 TEST(ObsDeterminism, BatchedMetricsExportIdenticalBytes) {
-  // The player's counters flow through obs::MetricBatch epoch flushes by
-  // default and through the registry's per-request path when batching is
-  // off (bench_perf's baseline). The exported artifacts must be
-  // byte-identical between the two modes at any job count — batching is a
-  // cost optimization, never an observable one. This also pins the
-  // end-of-run tail flush: counts accumulated after the last epoch flush
-  // would go missing from the batched export and break the comparison.
+  // The player's counters flow through obs::MetricBatch epoch flushes.
+  // Every exported player counter must equal the run's own RunMetrics
+  // count — batching is a cost optimization, never an observable one.
+  // This pins the end-of-run tail flush: counts accumulated after the
+  // last epoch flush would go missing from the export. The exports must
+  // also stay byte-identical at any job count.
   RunnerOptions options;
   options.replications = 2;
-  const auto batched_cells = obs_grid();
-  auto through_cells = obs_grid();
-  for (auto& cell : through_cells) cell.config.obs.batch_metrics = false;
+  const auto cells = obs_grid();
 
   options.jobs = 1;
-  const Artifacts batched = render_all(run_cells(batched_cells, options));
-  const Artifacts through = render_all(run_cells(through_cells, options));
-  ASSERT_FALSE(batched.prometheus.empty());
-  EXPECT_EQ(batched.prometheus, through.prometheus);
-  EXPECT_EQ(batched.csv, through.csv);
-  EXPECT_EQ(batched.series, through.series);
-  EXPECT_EQ(batched.trace, through.trace);
+  const auto results = run_cells(cells, options);
+  for (const CellResult& cell : results) {
+    for (const ExperimentResult& run : cell.replications) {
+      SCOPED_TRACE(cell.label);
+      const obs::MetricRegistry& reg = run.registry;
+      const RunMetrics& m = run.metrics;
+      ASSERT_GT(m.completed, 0u);
+      EXPECT_EQ(exported_counter(reg, "prord_requests_completed_total"),
+                static_cast<double>(m.completed));
+      EXPECT_EQ(exported_counter(reg, "prord_requests_failed_total"),
+                static_cast<double>(m.failed));
+      EXPECT_EQ(exported_counter(reg, "prord_requests_retried_total"),
+                static_cast<double>(m.retries));
+      EXPECT_EQ(exported_counter(reg, "prord_requests_redispatched_total"),
+                static_cast<double>(m.redispatches));
+      EXPECT_EQ(exported_counter(reg, "prord_dispatcher_contacts_total"),
+                static_cast<double>(m.dispatches));
+      EXPECT_EQ(exported_counter(reg, "prord_tcp_handoffs_total"),
+                static_cast<double>(m.handoffs));
+      EXPECT_EQ(exported_counter(reg, "prord_backend_forwards_total"),
+                static_cast<double>(m.forwards));
+      for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
+        const char* via = obs::route_via_name(static_cast<obs::RouteVia>(v));
+        EXPECT_EQ(exported_counter(reg, "prord_requests_routed_total", via),
+                  static_cast<double>(m.routes_via[v]))
+            << "via=" << via;
+      }
+    }
+  }
+  const Artifacts serial = render_all(results);
+  ASSERT_FALSE(serial.prometheus.empty());
 
   options.jobs = 4;
-  const Artifacts through4 = render_all(run_cells(through_cells, options));
-  EXPECT_EQ(batched.prometheus, through4.prometheus);
-  EXPECT_EQ(batched.csv, through4.csv);
+  const Artifacts parallel = render_all(run_cells(cells, options));
+  EXPECT_EQ(serial.prometheus, parallel.prometheus);
+  EXPECT_EQ(serial.csv, parallel.csv);
 }
 
 TEST(ObsDeterminism, CollectedCatalogueSpansEverySubsystem) {

@@ -105,7 +105,9 @@ std::vector<std::string> validate_report(const JsonValue& doc) {
   return errors;
 }
 
-/// A report shaped exactly like bench_perf's sim suite output.
+/// A sim report using every shape the schema admits: an optimized row,
+/// a baseline row (reports written before the allocation gate carry
+/// them), and a named ratio.
 PerfReport sample_report() {
   PerfReport report;
   report.suite = "sim";

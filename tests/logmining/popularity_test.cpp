@@ -239,8 +239,8 @@ TEST(Replication, MonotoneTiersDownTheTable) {
 
 // ---------------------------------------------------------------------------
 // top_rank_table must return byte-for-byte the prefix of the full sort —
-// the replication planner's byte-identity across the fast and legacy
-// selection paths rests on this.
+// the replication planner's output, and so every figure table, rests on
+// this.
 // ---------------------------------------------------------------------------
 
 void expect_prefix_identical(PopularityTracker& t, sim::SimTime now,
@@ -284,25 +284,6 @@ TEST(Popularity, TopRankTableTieBreaksByFileId) {
     for (int i = 0; i < 3; ++i) t.record_hit(f, 0);
   for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{50}})
     expect_prefix_identical(t, sim::sec(10.0), k);
-}
-
-TEST(Popularity, TopRankTableLegacySwitchSameBytes) {
-  PopularityTracker t(sim::sec(60.0));
-  std::mt19937_64 rng(7);
-  for (int i = 0; i < 2000; ++i)
-    t.record_hit(static_cast<trace::FileId>(rng() % 128),
-                 static_cast<sim::SimTime>(rng() % sim::sec(600.0)));
-  std::vector<RankEntry> fast, legacy;
-  t.top_rank_table(sim::sec(600.0), 32, fast);
-  set_legacy_rank_selection(true);
-  t.top_rank_table(sim::sec(600.0), 32, legacy);
-  set_legacy_rank_selection(false);
-  ASSERT_EQ(fast.size(), legacy.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].file, legacy[i].file);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[i].rank),
-              std::bit_cast<std::uint64_t>(legacy[i].rank));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Equivalence fuzz: the timing-wheel queue must be operation-for-operation
-// indistinguishable from the reference binary heap — same pop order, same
-// pop times, same cancel outcomes, same sizes — under randomized streams
-// of pushes (leaf-window, mid-wheel, overflow-range, and below-clock
-// "past" times), cancels, and pops. This is the contract that lets every
-// figure table stay byte-identical after the queue swap: the simulator
-// orders simultaneous events by sequence number, and both implementations
-// must honour it exactly.
+// indistinguishable from an ordered model keyed on (time, push order) —
+// same pop order, same pop times, same cancel outcomes, same sizes — under
+// randomized streams of pushes (leaf-window, mid-wheel, overflow-range, and
+// below-clock "past" times), cancels, and pops. This is the contract that
+// keeps every figure table byte-identical: the simulator orders
+// simultaneous events by scheduling order, and the queue must honour it
+// exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -17,16 +19,43 @@
 namespace prord::sim {
 namespace {
 
+/// Reference model: pending events in a map ordered by (time, push
+/// order). A cancel erases the key, so a handle whose event already fired
+/// or was already cancelled finds nothing and reports false.
+class OrderedModel {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  Key push(SimTime at, int id) {
+    const Key key{at, next_order_++};
+    pending_.emplace(key, id);
+    return key;
+  }
+  bool cancel(const Key& key) { return pending_.erase(key) > 0; }
+  SimTime next_time() const { return pending_.begin()->first.first; }
+  std::pair<SimTime, int> pop() {
+    const auto it = pending_.begin();
+    const std::pair<SimTime, int> fired{it->first.first, it->second};
+    pending_.erase(it);
+    return fired;
+  }
+  std::size_t size() const { return pending_.size(); }
+  bool empty() const { return pending_.empty(); }
+
+ private:
+  std::map<Key, int> pending_;
+  std::uint64_t next_order_ = 0;
+};
+
 void run_fuzz(std::uint64_t seed, int ops) {
   SCOPED_TRACE("seed " + std::to_string(seed));
-  EventQueue wheel(QueueImpl::kBucketed);
-  EventQueue heap(QueueImpl::kHeapReference);
-  ASSERT_EQ(wheel.impl(), QueueImpl::kBucketed);
-  ASSERT_EQ(heap.impl(), QueueImpl::kHeapReference);
+  EventQueue wheel;
+  OrderedModel model;
 
   std::mt19937_64 rng(seed);
-  std::vector<EventHandle> wheel_handles, heap_handles;
-  std::vector<std::pair<SimTime, int>> wheel_fired, heap_fired;
+  std::vector<EventHandle> wheel_handles;
+  std::vector<OrderedModel::Key> model_handles;
+  std::vector<std::pair<SimTime, int>> wheel_fired, model_fired;
   SimTime horizon = 0;  // max time popped so far
   int next_id = 0;
 
@@ -34,19 +63,17 @@ void run_fuzz(std::uint64_t seed, int ops) {
     const int id = next_id++;
     wheel_handles.push_back(wheel.push(
         at, [&wheel_fired, at, id] { wheel_fired.emplace_back(at, id); }));
-    heap_handles.push_back(heap.push(
-        at, [&heap_fired, at, id] { heap_fired.emplace_back(at, id); }));
+    model_handles.push_back(model.push(at, id));
   };
 
   const auto pop_both = [&] {
-    SimTime wheel_at = -1, heap_at = -2;
+    SimTime wheel_at = -1;
     EventFn wheel_fn = wheel.pop(wheel_at);
-    EventFn heap_fn = heap.pop(heap_at);
-    ASSERT_EQ(wheel_at, heap_at);
+    model_fired.push_back(model.pop());
+    ASSERT_EQ(wheel_at, model_fired.back().first);
     wheel_fn();
-    heap_fn();
     ASSERT_FALSE(wheel_fired.empty());
-    ASSERT_EQ(wheel_fired.back(), heap_fired.back());
+    ASSERT_EQ(wheel_fired.back(), model_fired.back());
     if (wheel_at > horizon) horizon = wheel_at;
   };
 
@@ -56,7 +83,7 @@ void run_fuzz(std::uint64_t seed, int ops) {
       // Push — spread times across every wheel region.
       SimTime at = 0;
       switch (rng() % 8) {
-        case 0:  // same-leaf collisions (sequence order decides)
+        case 0:  // same-leaf collisions (push order decides)
           at = horizon + static_cast<SimTime>(rng() % 4);
           break;
         case 1:  // leaf window
@@ -80,27 +107,29 @@ void run_fuzz(std::uint64_t seed, int ops) {
       // — outcomes must agree in every case).
       const std::size_t i = rng() % wheel_handles.size();
       const bool wheel_ok = wheel.cancel(wheel_handles[i]);
-      const bool heap_ok = heap.cancel(heap_handles[i]);
-      ASSERT_EQ(wheel_ok, heap_ok) << "cancel of handle " << i;
+      const bool model_ok = model.cancel(model_handles[i]);
+      ASSERT_EQ(wheel_ok, model_ok) << "cancel of handle " << i;
     } else {
-      ASSERT_FALSE(heap.empty());
-      ASSERT_EQ(wheel.next_time(), heap.next_time());
+      ASSERT_FALSE(model.empty());
+      ASSERT_EQ(wheel.next_time(), model.next_time());
       ASSERT_NO_FATAL_FAILURE(pop_both());
     }
-    ASSERT_EQ(wheel.size(), heap.size());
-    ASSERT_EQ(wheel.empty(), heap.empty());
+    ASSERT_EQ(wheel.size(), model.size());
+    ASSERT_EQ(wheel.empty(), model.empty());
   }
 
   // Drain everything that's left; full fire logs must match exactly.
-  while (!heap.empty()) {
+  while (!model.empty()) {
     ASSERT_FALSE(wheel.empty());
-    ASSERT_EQ(wheel.next_time(), heap.next_time());
+    ASSERT_EQ(wheel.next_time(), model.next_time());
     ASSERT_NO_FATAL_FAILURE(pop_both());
   }
   ASSERT_TRUE(wheel.empty());
-  ASSERT_EQ(wheel_fired, heap_fired);
+  ASSERT_EQ(wheel_fired, model_fired);
 }
 
+// The reference these tests compare against is OrderedModel above; the
+// "HeapReference" in their names is the binary heap it replaced.
 TEST(EventQueueEquivalence, RandomizedStreamsMatchHeapReference) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1337ull}) {
     run_fuzz(seed, 20'000);

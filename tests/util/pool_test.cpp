@@ -1,8 +1,7 @@
 // FixedPool contract tests: exhaustion/regrow, eager double-free
-// detection, deterministic reuse order, the perf-baseline bypass switch,
-// and straggler destruction (the property the sanitizer CI job's ASan
-// leak check rides on — an abandoned pool must destroy what's still
-// live in it).
+// detection, deterministic reuse order, and straggler destruction (the
+// property the sanitizer CI job's ASan leak check rides on — an abandoned
+// pool must destroy what's still live in it).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -33,9 +32,7 @@ class PoolTest : public ::testing::Test {
   void SetUp() override {
     Tracked::live = 0;
     Tracked::constructed = 0;
-    set_pool_bypass(false);
   }
-  void TearDown() override { set_pool_bypass(false); }
 };
 
 TEST_F(PoolTest, ExhaustionGrowsGeometrically) {
@@ -98,36 +95,6 @@ TEST_F(PoolTest, ReuseOrderIsDeterministic) {
   EXPECT_EQ(pool.acquire(4), c);
   EXPECT_EQ(pool.acquire(5), b);
   EXPECT_EQ(pool.acquire(6), a);
-}
-
-TEST_F(PoolTest, BypassRoutesThroughHeap) {
-  FixedPool<Tracked> pool(4);
-  set_pool_bypass(true);
-  Tracked* heap_obj = pool.acquire(1);
-  EXPECT_EQ(pool.heap_fallbacks(), 1u);
-  EXPECT_EQ(pool.capacity(), 0u);  // no slab was grown
-  EXPECT_EQ(pool.in_use(), 1u);
-  pool.release(heap_obj);
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(Tracked::live, 0);
-
-  // Back to pooled mode: slabs grow again and fallbacks stop counting.
-  set_pool_bypass(false);
-  Tracked* pooled = pool.acquire(2);
-  EXPECT_EQ(pool.heap_fallbacks(), 1u);
-  EXPECT_GT(pool.capacity(), 0u);
-  pool.release(pooled);
-}
-
-TEST_F(PoolTest, OptedOutPoolIgnoresBypass) {
-  // The event queue's node pool keeps slot memory mapped for stale cancel
-  // handles; it must never fall through to the heap.
-  FixedPool<Tracked> pool(4, /*honor_bypass=*/false);
-  set_pool_bypass(true);
-  Tracked* t = pool.acquire(1);
-  EXPECT_EQ(pool.heap_fallbacks(), 0u);
-  EXPECT_GT(pool.capacity(), 0u);
-  pool.release(t);
 }
 
 TEST_F(PoolTest, DestructorDestroysStragglers) {
