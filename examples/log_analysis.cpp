@@ -55,8 +55,8 @@ int main() {
   util::Table top({"url", "hits", "bundle"});
   const auto rank = model.popularity().rank_table(0);
   for (std::size_t i = 0; i < rank.size() && top.rows() < 8; ++i) {
+    if (workload.files.is_embedded(rank[i].file)) continue;  // pages only
     const auto& url = workload.files.url(rank[i].file);
-    if (trace::is_embedded_url(url)) continue;  // report pages only
     std::ostringstream bundle;
     for (const auto obj : model.bundles().bundle_of(rank[i].file))
       bundle << workload.files.url(obj) << ' ';

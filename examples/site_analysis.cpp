@@ -51,7 +51,8 @@ int main() {
   trace::FileId target = trace::kInvalidFile;
   for (const auto& e : popularity.rank_table(0)) {
     const auto& u = url(e.file);
-    if (!trace::is_embedded_url(u) && u.find("/p") != std::string::npos) {
+    if (!workload.files.is_embedded(e.file) &&
+        u.find("/p") != std::string::npos) {
       target = e.file;
       break;
     }

@@ -188,7 +188,7 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
     stats_.prefetch_requests.fetch_add(1, std::memory_order_relaxed);
     std::string extra = "X-Backend: " + std::to_string(id_) + "\r\n";
     const trace::FileId file = site_.lookup(req.target);
-    if (file == trace::kInvalidFile || SiteStore::is_dynamic(req.target)) {
+    if (file == trace::kInvalidFile || site_.is_dynamic(file)) {
       conn.out += format_response(204, "No Content", "", extra);
       if (!req.keep_alive) conn.closing = true;
       return;
@@ -247,7 +247,7 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
     return;
   }
 
-  if (SiteStore::is_dynamic(req.target)) {
+  if (site_.is_dynamic(file)) {
     // CPU-generated content: never cached, body rebuilt per request.
     stats_.dynamic_served.fetch_add(1, std::memory_order_relaxed);
     const std::string body = site_.make_payload(file);

@@ -343,8 +343,8 @@ void Distributor::handle_request(ClientConn& conn, const HttpRequest& req) {
   r.conn = conn.conn_id;
   r.file = file;
   r.bytes = site_.size_bytes(file);
-  r.is_embedded = SiteStore::is_embedded(req.target);
-  r.is_dynamic = SiteStore::is_dynamic(req.target);
+  r.is_embedded = site_.is_embedded(file);
+  r.is_dynamic = site_.is_dynamic(file);
   r.starts_connection = (seq == 0);
 
   const core::RoutedRequest routed = router_.route(r);
@@ -458,8 +458,7 @@ void Distributor::issue_prefetch(std::uint32_t server, trace::FileId file,
     return;  // already warming / warmed and unconsumed
   Upstream& up = upstreams_[server];
   if (!up.fd.valid()) return;
-  const std::string& url = site_.url(file);
-  if (SiteStore::is_dynamic(url)) return;  // generated per request
+  if (site_.is_dynamic(file)) return;  // generated per request
   // The belief model already knows what the worker holds: prefetching a
   // resident file would only burn a loopback round trip.
   if (router_.cluster().backend(server).caches(file)) return;
@@ -471,7 +470,8 @@ void Distributor::issue_prefetch(std::uint32_t server, trace::FileId file,
   p.t_in_us = now_us;
   p.t_routed_us = now_us;
   up.pending.push_back(std::move(p));
-  up.out.push(format_request(url, "backend" + std::to_string(up.worker),
+  up.out.push(format_request(site_.url(file),
+                             "backend" + std::to_string(up.worker),
                              kPrefetchHeader));
   counters_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
   prefetch_inflight_.emplace(file, server);

@@ -28,16 +28,10 @@ class SiteStore {
     return files_.size_bytes(id);
   }
   std::size_t count() const noexcept { return files_.count(); }
-
-  /// Same classification the workload builder applied, re-derived from
-  /// the URL so the live distributor labels requests exactly as the sim
-  /// path did.
-  static bool is_embedded(std::string_view url) {
-    return trace::is_embedded_url(url);
-  }
-  static bool is_dynamic(std::string_view url) {
-    return trace::is_dynamic_url(url);
-  }
+  /// The file's class as the workload builder recorded it, so the live
+  /// distributor and workers label a request exactly as the sim does.
+  bool is_embedded(trace::FileId id) const { return files_.is_embedded(id); }
+  bool is_dynamic(trace::FileId id) const { return files_.is_dynamic(id); }
 
   /// Deterministic body of size_bytes(id): the url followed by filler.
   /// Thread-safe (reads only the const table).

@@ -236,8 +236,7 @@ void Prord::trigger_prefetch(const trace::Request& /*req*/, ServerId server,
   // Dynamic pages cannot be prefetched (generated per request), but their
   // static bundle can.
   const bool dynamic_page =
-      options_.dynamic_aware &&
-      trace::is_dynamic_url(files_.url(prediction->file));
+      options_.dynamic_aware && files_.is_dynamic(prediction->file);
   ++prefetches_triggered_;
   if (adaptation_) adaptation_->on_prefetch_issued();
   if (!dynamic_page) stage(prediction->file);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/distributions.h"
 
@@ -41,7 +43,18 @@ GeneratedTrace generate_trace(const SiteModel& site,
     nav_weight[p] = std::pow(site.pages()[p].weight, params.popularity_bias);
 
   GeneratedTrace out;
-  out.records.reserve(params.target_requests + 64);
+  // Requests are drafted without their URL strings (a pointer into the
+  // site instead), sorted by time, and only then materialized as
+  // LogRecords: the sort moves 24-byte drafts, and each URL is copied
+  // once, straight into its final slot.
+  struct Draft {
+    sim::SimTime time;
+    std::uint32_t client;
+    std::uint32_t bytes;
+    const std::string* url;
+  };
+  std::vector<Draft> drafts;
+  drafts.reserve(params.target_requests + 64);
 
   // Workload drift: each phase cyclically re-maps the page-preference
   // indices — entry weights, navigation popularity, AND the groups' page
@@ -130,7 +143,7 @@ GeneratedTrace generate_trace(const SiteModel& site,
   const double session_len_p = 1.0 / params.mean_pages_per_session;
   double session_start = 0.0;
 
-  while (out.records.size() < params.target_requests) {
+  while (drafts.size() < params.target_requests) {
     if (modulated) {
       // Thinning loop: advance candidates until one is accepted.
       do {
@@ -160,24 +173,14 @@ GeneratedTrace generate_trace(const SiteModel& site,
       const Page& page = site.pages()[current];
       ++out.num_page_views;
 
-      LogRecord rec;
-      rec.time = sim::sec(t);
-      rec.client = client;
-      rec.url = page.url;
-      rec.bytes = page.bytes;
-      out.records.push_back(rec);
+      drafts.push_back({sim::sec(t), client, page.bytes, &page.url});
 
       double et = t;
       for (const auto& e : page.embedded) {
         et += params.embedded_gap_ms / 1000.0;
-        LogRecord er;
-        er.time = sim::sec(et);
-        er.client = client;
-        er.url = e.url;
-        er.bytes = e.bytes;
-        out.records.push_back(er);
+        drafts.push_back({sim::sec(et), client, e.bytes, &e.url});
       }
-      if (out.records.size() >= params.target_requests) break;
+      if (drafts.size() >= params.target_requests) break;
 
       if (page.links.empty()) break;  // dead end: session ends
 
@@ -202,10 +205,18 @@ GeneratedTrace generate_trace(const SiteModel& site,
     }
   }
 
-  std::stable_sort(out.records.begin(), out.records.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
+  std::stable_sort(drafts.begin(), drafts.end(),
+                   [](const Draft& a, const Draft& b) {
                      return a.time < b.time;
                    });
+  out.records.resize(drafts.size());
+  for (std::size_t i = 0; i < drafts.size(); ++i) {
+    LogRecord& rec = out.records[i];
+    rec.time = drafts[i].time;
+    rec.client = drafts[i].client;
+    rec.url = *drafts[i].url;
+    rec.bytes = drafts[i].bytes;
+  }
   return out;
 }
 

@@ -10,7 +10,7 @@
 namespace prord::trace {
 
 FileId FileTable::intern(std::string_view url, std::uint32_t bytes) {
-  auto it = ids_.find(std::string(url));
+  auto it = ids_.find(url);
   if (it != ids_.end()) {
     sizes_[it->second] = std::max(sizes_[it->second], bytes);
     return it->second;
@@ -18,12 +18,15 @@ FileId FileTable::intern(std::string_view url, std::uint32_t bytes) {
   const auto id = static_cast<FileId>(urls_.size());
   urls_.emplace_back(url);
   sizes_.push_back(bytes);
+  kinds_.push_back(is_embedded_url(url)  ? Kind::kEmbedded
+                   : is_dynamic_url(url) ? Kind::kDynamic
+                                         : Kind::kPage);
   ids_.emplace(urls_.back(), id);
   return id;
 }
 
 FileId FileTable::lookup(std::string_view url) const {
-  auto it = ids_.find(std::string(url));
+  auto it = ids_.find(url);
   return it == ids_.end() ? kInvalidFile : it->second;
 }
 
@@ -78,8 +81,8 @@ Workload build_workload(std::span<const LogRecord> records,
     req.client = rec.client;
     req.file = w.files.intern(rec.url, rec.bytes);
     req.bytes = rec.bytes;
-    req.is_embedded = is_embedded_url(rec.url);
-    req.is_dynamic = !req.is_embedded && is_dynamic_url(rec.url);
+    req.is_embedded = w.files.is_embedded(req.file);
+    req.is_dynamic = w.files.is_dynamic(req.file);
 
     if (!st.seen) {
       st.seen = true;

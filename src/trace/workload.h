@@ -2,15 +2,16 @@
 // stream the cluster simulator consumes.
 //
 // Responsibilities:
-//   - intern URLs into dense FileIds and learn file sizes,
-//   - classify requests as main pages vs embedded objects (by extension,
-//     the same heuristic real front-ends use),
+//   - intern URLs into dense FileIds, learn file sizes and classify each
+//     file once as main page, embedded object or dynamic content (by
+//     extension, the same heuristic real front-ends use),
 //   - attribute each embedded object to the main page that pulled it in,
 //   - split each client's request stream into persistent HTTP/1.1
 //     connections using a keep-alive timeout.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -21,28 +22,48 @@
 
 namespace prord::trace {
 
-/// Dense URL <-> FileId mapping with byte sizes.
+/// Dense URL <-> FileId mapping with byte sizes and each file's class.
+/// The one place that knows what a file is: the workload builder, the
+/// live front end and the live workers all classify by FileId here, so
+/// the sim and the live cluster cannot label a request differently.
 class FileTable {
  public:
-  /// Returns the id for `url`, creating it on first sight. Size is updated
-  /// to the max observed (logs may carry truncated transfers).
+  /// Returns the id for `url`, creating it (and classifying its URL) on
+  /// first sight. Size is updated to the max observed (logs may carry
+  /// truncated transfers).
   FileId intern(std::string_view url, std::uint32_t bytes);
 
-  /// Id for a known URL or kInvalidFile.
+  /// Id for a known URL or kInvalidFile. Builds no temporary string.
   FileId lookup(std::string_view url) const;
 
   std::uint32_t size_bytes(FileId id) const { return sizes_.at(id); }
   const std::string& url(FileId id) const { return urls_.at(id); }
   std::size_t count() const noexcept { return urls_.size(); }
 
+  /// is_embedded_url of the file's URL.
+  bool is_embedded(FileId id) const { return kinds_.at(id) == Kind::kEmbedded; }
+  /// CPU-generated and uncacheable: is_dynamic_url of a URL that is not
+  /// embedded (an embedded object under /cgi-bin/ is still static).
+  bool is_dynamic(FileId id) const { return kinds_.at(id) == Kind::kDynamic; }
+
   /// Sum of sizes over all known files — the site footprint as seen in the
   /// trace.
   std::uint64_t total_bytes() const noexcept;
 
  private:
+  enum class Kind : std::uint8_t { kPage, kEmbedded, kDynamic };
+  /// Transparent hash: find() takes a string_view as is.
+  struct UrlHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view url) const noexcept {
+      return std::hash<std::string_view>{}(url);
+    }
+  };
+
   std::vector<std::string> urls_;
   std::vector<std::uint32_t> sizes_;
-  std::unordered_map<std::string, FileId> ids_;
+  std::vector<Kind> kinds_;
+  std::unordered_map<std::string, FileId, UrlHash, std::equal_to<>> ids_;
 };
 
 /// One request as the cluster front-end sees it.
@@ -52,6 +73,7 @@ struct Request {
   std::uint32_t conn = 0;         ///< persistent-connection id
   FileId file = kInvalidFile;
   std::uint32_t bytes = 0;
+  // The file's class, copied from FileTable::is_embedded/is_dynamic.
   bool is_embedded = false;
   bool is_dynamic = false;            ///< CPU-generated, uncacheable
   FileId parent_page = kInvalidFile;  ///< main page of an embedded object

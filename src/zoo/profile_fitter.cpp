@@ -211,7 +211,7 @@ WorkloadProfile fit_profile(std::span<const trace::LogRecord> records,
       clamp(static_cast<double>(page_clusters), 2.0, 64.0));
   std::size_t page_files = 0;
   for (trace::FileId f = 0; f < workload.files.count(); ++f)
-    if (!trace::is_embedded_url(workload.files.url(f))) ++page_files;
+    if (!workload.files.is_embedded(f)) ++page_files;
   p.pages_per_section = static_cast<std::uint32_t>(clamp(
       std::ceil(static_cast<double>(std::max<std::size_t>(page_files, 1)) /
                 static_cast<double>(p.sections)),

@@ -97,9 +97,13 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
   // Hammer test: while a writer publishes generations tagged by a
   // distinguishable prediction, readers repeatedly take snapshots and
   // verify that the (epoch, model) pair is internally consistent — the
-  // model of epoch k always predicts page k.
+  // model of epoch k always predicts page k. The context page is outside
+  // the predicted range: a model of the self-transition k -> k predicts
+  // nothing (self-links are not navigation), so it cannot stand for any
+  // epoch.
   constexpr std::uint64_t kGenerations = 200;
-  ModelSwap swap(model_predicting(1, 0));
+  constexpr trace::FileId kFrom = 1'000'000;
+  ModelSwap swap(model_predicting(kFrom, 0));
 
   std::atomic<bool> torn{false};
   std::atomic<bool> stop{false};
@@ -111,7 +115,7 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
         return;
       }
       const auto guess = snap->model->predictor().predict(
-          std::vector<trace::FileId>{1}, 0.0);
+          std::vector<trace::FileId>{kFrom}, 0.0);
       if (!guess || guess->page != snap->epoch) {
         torn = true;
         return;
@@ -120,7 +124,7 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
   };
   std::thread r1(reader), r2(reader);
   for (std::uint64_t gen = 1; gen <= kGenerations; ++gen)
-    swap.publish(model_predicting(1, static_cast<trace::FileId>(gen)));
+    swap.publish(model_predicting(kFrom, static_cast<trace::FileId>(gen)));
   stop = true;
   r1.join();
   r2.join();

@@ -5,12 +5,16 @@
 // /metrics — not performance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "net/backend_worker.h"
 #include "net/live_cluster.h"
 #include "net/site_store.h"
 #include "scale/sharded_live.h"
+#include "trace/clf.h"
 #include "trace/models.h"
 #include "trace/workload.h"
 
@@ -113,6 +117,82 @@ TEST(LiveLoopback, WorkerServesPayloadsDirectly) {
   EXPECT_GE(worker.stats().not_found.load(), 1u);
   EXPECT_EQ(http_get(worker.port(), url), body);
   worker.stop();
+}
+
+// An embedded object under /cgi-bin/ (a hit-counter image) is embedded,
+// hence static and cacheable, in the sim; the live front end and worker
+// must classify it the same way. The log also carries a real dynamic page
+// so the dynamic counts are not trivially zero: under PRORD every request
+// the sim marks dynamic is routed by the load-balancing branch and served
+// uncached, and nothing else is.
+TEST(LiveLoopback, EmbeddedCgiObjectIsStaticAsInTheSim) {
+  std::vector<trace::LogRecord> records;
+  // Every visit opens with the counter (a badge shown on another site),
+  // so it is also the first request of the run.
+  const char* kVisit[] = {"/cgi-bin/counter.gif", "/index.html", "/logo.gif",
+                          "/cgi-bin/search.cgi?q=lens", "/news.html",
+                          "/cgi-bin/counter.gif"};
+  for (std::uint32_t client = 0; client < 40; ++client) {
+    sim::SimTime t = sim::sec(client * 2.0);
+    for (const char* url : kVisit) {
+      trace::LogRecord r;
+      r.time = t;
+      r.client = client;
+      r.url = url;
+      r.bytes = 900 + 100 * static_cast<std::uint32_t>(r.url.size());
+      records.push_back(r);
+      t += sim::msec(20);
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const trace::LogRecord& a, const trace::LogRecord& b) {
+                     return a.time < b.time;
+                   });
+  const std::string path =
+      ::testing::TempDir() + "prord_embedded_cgi_access.log";
+  {
+    std::ofstream out(path);
+    trace::write_clf(out, records);
+  }
+
+  // What the sim sees in the same log.
+  std::ifstream in(path);
+  trace::ClfParser parser;
+  const trace::Workload wl = trace::build_workload(parser.parse_stream(in));
+  const trace::FileId counter = wl.files.lookup("/cgi-bin/counter.gif");
+  ASSERT_NE(counter, trace::kInvalidFile);
+  std::uint64_t sim_dynamic = 0;
+  for (const trace::Request& req : wl.requests) {
+    sim_dynamic += req.is_dynamic;
+    if (req.file == counter) {
+      EXPECT_TRUE(req.is_embedded);
+      EXPECT_FALSE(req.is_dynamic);
+    }
+  }
+  ASSERT_EQ(sim_dynamic, 40u);
+
+  LiveConfig cfg;
+  cfg.policy = core::PolicyKind::kPrord;
+  cfg.backends = 2;
+  // One pass over the log on one connection: every record is sent
+  // exactly once (with several connections, a faster one wraps around
+  // its share while a slower one stops short).
+  cfg.requests = 0;
+  cfg.concurrency = 1;
+  cfg.clf_path = path;
+  const LiveRunResult r = scale::run_live_sharded(cfg);
+  ASSERT_TRUE(r.started);
+  EXPECT_TRUE(r.conserved());
+  EXPECT_EQ(r.load.issued, wl.requests.size());
+  EXPECT_EQ(r.load.failed, 0u);
+
+  std::uint64_t worker_dynamic = 0;
+  for (const auto& w : r.workers) worker_dynamic += w.dynamic_served;
+  EXPECT_EQ(worker_dynamic, sim_dynamic);
+  const obs::Metric* balance = r.registry.find(
+      "prord_live_routes_via_total", {{"via", "balance"}});
+  ASSERT_NE(balance, nullptr);
+  EXPECT_EQ(balance->value, static_cast<double>(sim_dynamic));
 }
 
 }  // namespace

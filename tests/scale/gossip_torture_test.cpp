@@ -68,10 +68,17 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
   std::atomic<std::uint64_t> reads_ok{0};
   std::atomic<std::uint64_t> reads_failed{0};
   std::atomic<bool> corrupt{false};
+  // The writers finish within a few milliseconds. They wait until the
+  // three readers and the merger run, so that reads overlap publishes
+  // even on a host too busy to schedule the reader threads at once.
+  constexpr int kObservers = 4;
+  std::atomic<int> started{0};
 
   std::vector<std::thread> writers;
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    writers.emplace_back([&board, s] {
+    writers.emplace_back([&board, &started, s] {
+      while (started.load(std::memory_order_acquire) < kObservers)
+        std::this_thread::yield();
       for (std::uint64_t v = 1; v <= kPublishes; ++v)
         board.publish(s, derived_snapshot(s, v, kBackends));
     });
@@ -80,6 +87,7 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
+      started.fetch_add(1, std::memory_order_release);
       ShardLoadSnapshot out;
       std::uint64_t last_version[kShards] = {0};
       while (!stop.load(std::memory_order_acquire)) {
@@ -102,6 +110,7 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
 
   // A merger thread exercises the full read-all-and-sum path concurrently.
   std::thread merger([&] {
+    started.fetch_add(1, std::memory_order_release);
     const GossipOptions opts{.interval_us = 1, .staleness_us = 1'000'000'000};
     while (!stop.load(std::memory_order_acquire)) {
       std::uint32_t torn = 0;
