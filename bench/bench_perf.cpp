@@ -13,6 +13,13 @@
 // pushes its cells past the constant allocs/event ceiling in kSimCases.
 // bench_perf exits 1 when a cell exceeds its ceiling (docs/PERF.md lists
 // which regression raises which cell by how much).
+//
+// The live section (skipped by --skip-live) writes BENCH_live.json: the
+// loopback burst with tracing off and on, the prefetch A/B, and the shard
+// sweep at 1, 2 and 4 shards. It exits 1 when a live cell does not start
+// or loses a request, and when 4 shards serve less than 1.8x the 1-shard
+// req/s on a host with at least 4 cores (docs/SCALING.md).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +28,7 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.h"
@@ -197,30 +205,48 @@ core::PerfScenario run_sim_scenario(const std::string& name,
   return s;
 }
 
-/// One live loopback run. `trace_sample_rate` > 0 measures the tracing
-/// tax: the traced scenario divides by the untraced one to produce the
-/// live_tracing_rps_ratio gate (docs/OBSERVABILITY.md).
-core::PerfScenario run_live_scenario(const std::string& name,
-                                     double trace_sample_rate) {
-  core::PerfScenario s;
+struct LiveCell {
+  core::PerfScenario scenario;
+  net::LiveRunResult result;
+};
+
+/// Every live cell runs through here: one loopback run of `config`. A run
+/// that did not start, or lost a request on the client side or across
+/// shards, exits bench_perf with status 1, so no cell is written with zero
+/// throughput and no ratio gate is skipped on one.
+LiveCell run_live_cell(const std::string& name,
+                       const net::LiveConfig& config) {
+  LiveCell cell;
+  core::PerfScenario& s = cell.scenario;
   s.name = name;
   s.mode = "optimized";
-  s.shards = 1;
+  s.shards = config.shards;
   std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
-  net::LiveConfig config = live_config();
-  config.trace_sample_rate = trace_sample_rate;
   const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
   s.t_start_ms = core::unix_now_ms();
-  const net::LiveRunResult result = scale::run_live_sharded(config);
+  cell.result = scale::run_live_sharded(config);
   s.t_end_ms = core::unix_now_ms();
-  s.allocations =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  s.allocations = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
 
+  const net::LiveRunResult& result = cell.result;
   if (!result.started) {
-    std::fprintf(stderr, "[bench_perf] live run failed to start\n");
-    return s;  // zeros; the schema test tolerates a missing live file,
-               // but an emitted one must carry real throughput.
+    std::fprintf(stderr, "[bench_perf] FAIL: %s did not start\n",
+                 name.c_str());
+    std::exit(1);
+  }
+  // Conservation is the correctness contract at every shard count:
+  // issued == parsed and parsed == answered, summed across shards.
+  if (!result.conserved() || !result.shard_conserved()) {
+    std::fprintf(stderr,
+                 "[bench_perf] FAIL: %s lost requests (issued=%llu "
+                 "completed=%llu failed=%llu parsed=%llu)\n",
+                 name.c_str(),
+                 static_cast<unsigned long long>(result.load.issued),
+                 static_cast<unsigned long long>(result.load.completed),
+                 static_cast<unsigned long long>(result.load.failed),
+                 static_cast<unsigned long long>(result.dist_requests));
+    std::exit(1);
   }
   s.wall_seconds = result.load.duration_s;
   s.requests = result.load.completed;
@@ -234,7 +260,7 @@ core::PerfScenario run_live_scenario(const std::string& name,
       s.requests ? static_cast<double>(s.allocations) /
                        static_cast<double>(s.requests)
                  : 0.0;
-  return s;
+  return cell;
 }
 
 // Live prefetch A/B (docs/PREDICTOR.md): the same paced run with the
@@ -258,64 +284,43 @@ net::LiveConfig live_prefetch_config() {
   return config;
 }
 
-struct LivePrefetchCell {
-  core::PerfScenario scenario;
-  double worker_hit_rate = 0.0;
-  double waste_ratio = 0.0;
-  std::uint64_t issued = 0;
-};
-
-LivePrefetchCell run_live_prefetch_cell(const std::string& name,
-                                        bool prefetch_on) {
-  LivePrefetchCell cell;
-  core::PerfScenario& s = cell.scenario;
-  s.name = name;
-  s.mode = "optimized";
-  s.shards = 1;
-  std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
-
+net::LiveConfig live_prefetch_on_config() {
   net::LiveConfig config = live_prefetch_config();
-  if (prefetch_on) {
-    config.prefetch = true;
-    config.predictor.algo = predict::Algo::kMithril;
-    config.predictor.confidence = 0.1;
-    config.predictor.max_associations = 8;
-  }
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
-  s.t_start_ms = core::unix_now_ms();
-  const net::LiveRunResult result = scale::run_live_sharded(config);
-  s.t_end_ms = core::unix_now_ms();
-  s.allocations = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  config.prefetch = true;
+  config.predictor.algo = predict::Algo::kMithril;
+  config.predictor.confidence = 0.1;
+  config.predictor.max_associations = 8;
+  return config;
+}
 
-  if (!result.started) {
-    std::fprintf(stderr, "[bench_perf] live prefetch run failed to start\n");
-    return cell;
-  }
-  s.wall_seconds = result.load.duration_s;
-  s.requests = result.load.completed;
-  s.requests_per_sec = result.load.throughput_rps();
-  s.p50_response_ms =
-      static_cast<double>(result.load.latency_hist.p50()) / 1000.0;
-  s.p99_response_ms =
-      static_cast<double>(result.load.latency_hist.p99()) / 1000.0;
-  s.allocations_per_event =
-      s.requests ? static_cast<double>(s.allocations) /
-                       static_cast<double>(s.requests)
-                 : 0.0;
-  cell.worker_hit_rate = result.worker_hit_rate();
-  cell.waste_ratio = result.prefetch_waste_ratio();
-  cell.issued = result.prefetch_issued;
-  return cell;
+// Shard-scaling sweep (docs/SCALING.md): the full loopback cluster at
+// each shard count on one port. The 1-shard cell is the baseline every
+// live_scale_rps_{n}x_vs_1 ratio divides by; it is the single-distributor
+// number, since one live assembly serves every shard count.
+constexpr std::uint32_t kScaleShards[] = {1, 2, 4};
+// Gate: kScaleGateShards shards must serve >= kScaleGateRatio x the
+// 1-shard req/s. It skips itself on hosts with fewer cores than
+// kScaleGateShards: a 4-shard front end cannot beat 1 shard on fewer
+// cores, and a red run there would only measure the machine.
+constexpr std::uint32_t kScaleGateShards = 4;
+constexpr double kScaleGateRatio = 1.8;
+
+net::LiveConfig scale_config(std::uint32_t shards) {
+  net::LiveConfig config;
+  config.policy = core::PolicyKind::kPrord;
+  config.backends = 4;
+  config.requests = 40'000;
+  config.concurrency = 32;
+  config.workload = trace::synthetic_spec();
+  config.shards = shards;
+  config.load_threads = 0;  // one generator thread per shard
+  return config;
 }
 
 struct Options {
   std::string out_dir = ".";
   /// Max allowed live req/s loss at 1% trace sampling (0 = report only).
   double max_trace_overhead = 0.0;
-  /// Min required cache-hit-rate ratio, prefetch on / off (0 = report
-  /// only). 1.0 asserts "prefetch never hurts"; CI stays report-only
-  /// because a loaded runner can starve the paced open loop.
-  double min_prefetch_hit_gain = 0.0;
   bool skip_live = false;
 };
 
@@ -328,13 +333,10 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       opts.skip_live = true;
     } else if (arg.rfind("--max-trace-overhead=", 0) == 0) {
       opts.max_trace_overhead = std::atof(arg.substr(21).data());
-    } else if (arg.rfind("--min-prefetch-hit-gain=", 0) == 0) {
-      opts.min_prefetch_hit_gain = std::atof(arg.substr(24).data());
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: bench_perf [--out-dir=DIR] "
-                   "[--max-trace-overhead=F] [--min-prefetch-hit-gain=X] "
-                   "[--skip-live]\n");
+                   "[--max-trace-overhead=F] [--skip-live]\n");
       return false;
     } else {
       std::fprintf(stderr, "bench_perf: unknown flag '%s'\n", argv[i]);
@@ -397,16 +399,19 @@ int main(int argc, char** argv) {
   if (!core::write_perf_report(sim_report, sim_path)) return 1;
   std::fprintf(stderr, "[bench_perf] wrote %s\n", sim_path.c_str());
 
+  bool live_failed = false;
   if (!opts.skip_live) {
     core::PerfReport live_report;
     live_report.suite = "live";
     live_report.git_sha = sha;
     // Tracing off, then on at the CI sampling rate: the ratio is the
     // observability tax on live throughput (1.0 = free).
+    net::LiveConfig traced_config = live_config();
+    traced_config.trace_sample_rate = 0.01;
     core::PerfScenario untraced =
-        run_live_scenario("live_loopback_burst", 0.0);
+        run_live_cell("live_loopback_burst", live_config()).scenario;
     core::PerfScenario traced =
-        run_live_scenario("live_loopback_traced_1pct", 0.01);
+        run_live_cell("live_loopback_traced_1pct", traced_config).scenario;
     const double trace_ratio =
         untraced.requests_per_sec > 0
             ? traced.requests_per_sec / untraced.requests_per_sec
@@ -425,54 +430,90 @@ int main(int argc, char** argv) {
     // (>1.0 = the prediction service converts real misses), the rps ratio
     // is its throughput tax, and the waste ratio is the on-cell's share
     // of issued prefetches no client ever consumed.
-    LivePrefetchCell pf_off =
-        run_live_prefetch_cell("live_prefetch_off", false);
-    LivePrefetchCell pf_on = run_live_prefetch_cell("live_prefetch_on", true);
-    const double hit_gain = pf_off.worker_hit_rate > 0
-                                ? pf_on.worker_hit_rate /
-                                      pf_off.worker_hit_rate
-                                : 0.0;
+    LiveCell pf_off = run_live_cell("live_prefetch_off",
+                                    live_prefetch_config());
+    LiveCell pf_on = run_live_cell("live_prefetch_on",
+                                   live_prefetch_on_config());
+    const double hit_off = pf_off.result.worker_hit_rate();
+    const double hit_on = pf_on.result.worker_hit_rate();
+    const double hit_gain = hit_off > 0 ? hit_on / hit_off : 0.0;
     const double pf_rps_ratio =
         pf_off.scenario.requests_per_sec > 0
             ? pf_on.scenario.requests_per_sec /
                   pf_off.scenario.requests_per_sec
             : 0.0;
+    const double waste = pf_on.result.prefetch_waste_ratio();
     std::fprintf(stderr,
                  "[bench_perf] live prefetch on vs off: cache-hit %.3f vs "
                  "%.3f (%.3fx), %.0f vs %.0f req/s (%.3fx), issued=%llu "
                  "waste=%.3f\n",
-                 pf_on.worker_hit_rate, pf_off.worker_hit_rate, hit_gain,
-                 pf_on.scenario.requests_per_sec,
+                 hit_on, hit_off, hit_gain, pf_on.scenario.requests_per_sec,
                  pf_off.scenario.requests_per_sec, pf_rps_ratio,
-                 static_cast<unsigned long long>(pf_on.issued),
-                 pf_on.waste_ratio);
+                 static_cast<unsigned long long>(pf_on.result.prefetch_issued),
+                 waste);
     live_report.scenarios.push_back(std::move(pf_off.scenario));
     live_report.scenarios.push_back(std::move(pf_on.scenario));
     live_report.speedups.push_back(
         {"live_prefetch_cache_hit_ratio", hit_gain});
     live_report.speedups.push_back({"live_prefetch_rps_ratio", pf_rps_ratio});
-    live_report.speedups.push_back(
-        {"live_prefetch_waste_ratio", pf_on.waste_ratio});
+    live_report.speedups.push_back({"live_prefetch_waste_ratio", waste});
+
+    // Shard sweep: req/s per shard count, as a ratio over 1 shard.
+    double baseline_rps = 0.0;
+    double gate_ratio = 0.0;
+    for (const std::uint32_t shards : kScaleShards) {
+      LiveCell cell = run_live_cell(
+          "live_scale_" + std::to_string(shards) + "shard",
+          scale_config(shards));
+      core::PerfScenario& s = cell.scenario;
+      std::fprintf(stderr,
+                   "[bench_perf] %s: %.0f req/s, p99 %.2f ms, "
+                   "reuseport=%d\n",
+                   s.name.c_str(), s.requests_per_sec, s.p99_response_ms,
+                   cell.result.reuseport_used ? 1 : 0);
+      if (shards == 1) {
+        s.mode = "baseline";
+        baseline_rps = s.requests_per_sec;
+      } else {
+        const double ratio =
+            baseline_rps > 0 ? s.requests_per_sec / baseline_rps : 0.0;
+        live_report.speedups.push_back(
+            {"live_scale_rps_" + std::to_string(shards) + "x_vs_1", ratio});
+        if (shards == kScaleGateShards) gate_ratio = ratio;
+      }
+      live_report.scenarios.push_back(std::move(s));
+    }
+
     live_report.generated_unix_ms = core::unix_now_ms();
     const std::string live_path = opts.out_dir + "/BENCH_live.json";
     if (!core::write_perf_report(live_report, live_path)) return 1;
     std::fprintf(stderr, "[bench_perf] wrote %s\n", live_path.c_str());
-    if (opts.max_trace_overhead > 0 && trace_ratio > 0 &&
+    if (opts.max_trace_overhead > 0 &&
         trace_ratio < 1.0 - opts.max_trace_overhead) {
       std::fprintf(stderr,
                    "[bench_perf] FAIL: tracing costs %.1f%% live req/s "
                    "(gate %.1f%%)\n",
                    100.0 * (1.0 - trace_ratio),
                    100.0 * opts.max_trace_overhead);
-      return 1;
+      live_failed = true;
     }
-    if (opts.min_prefetch_hit_gain > 0 && hit_gain > 0 &&
-        hit_gain < opts.min_prefetch_hit_gain) {
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    if (cores < kScaleGateShards) {
       std::fprintf(stderr,
-                   "[bench_perf] FAIL: prefetch cache-hit gain %.3fx is "
-                   "below the --min-prefetch-hit-gain gate %.3fx\n",
-                   hit_gain, opts.min_prefetch_hit_gain);
-      return 1;
+                   "[bench_perf] shard gate skipped: %u cores < %u shards "
+                   "(measured %.2fx, informational only)\n",
+                   cores, kScaleGateShards, gate_ratio);
+    } else if (gate_ratio < kScaleGateRatio) {
+      std::fprintf(stderr,
+                   "[bench_perf] FAIL: %u shards give %.2fx req/s vs 1 "
+                   "shard (gate %.2fx)\n",
+                   kScaleGateShards, gate_ratio, kScaleGateRatio);
+      live_failed = true;
+    } else {
+      std::fprintf(stderr,
+                   "[bench_perf] shard gate passed: %u shards give %.2fx "
+                   "req/s vs 1 shard (gate %.2fx)\n",
+                   kScaleGateShards, gate_ratio, kScaleGateRatio);
     }
   }
 
@@ -482,5 +523,5 @@ int main(int argc, char** argv) {
                  "above); a hot-path optimization has regressed\n");
     return 1;
   }
-  return 0;
+  return live_failed ? 1 : 0;
 }

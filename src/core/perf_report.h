@@ -21,8 +21,9 @@ inline constexpr int kPerfSchemaVersion = 2;
 /// One timed scenario run.
 struct PerfScenario {
   std::string name;  ///< e.g. "fig8_memory_sweep"
-  /// bench_perf writes "optimized"; the schema also admits "baseline",
-  /// which reports from before the count gate carry.
+  /// "optimized", or "baseline" for the cell other cells' ratios divide
+  /// by (the 1-shard cell of bench_perf's shard sweep; sim reports from
+  /// before the count gate also carry baseline rows).
   std::string mode;
   /// Wall-clock bracket (unix epoch ms). Monotonic across the scenario
   /// list — the schema test checks it.

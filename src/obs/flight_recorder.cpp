@@ -31,6 +31,11 @@ FlightRing::FlightRing(std::string name, std::size_t capacity)
 
 void FlightRing::record(const FlightEvent& event) noexcept {
   const std::uint64_t head = head_.load(std::memory_order_relaxed);
+  // Claim the slot before overwriting it: a reader that copied any byte
+  // of this write sees the claim after its acquire fence and drops the
+  // slot's old event.
+  claimed_.store(head + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   slots_[head & mask_] = event;
   // Publish after the slot write: a reader that sees head > i knows slot
   // i's bytes are complete (unless it has since wrapped, which the
@@ -47,11 +52,14 @@ std::vector<FlightEvent> FlightRing::snapshot() const {
   for (std::uint64_t i = begin; i < head; ++i)
     out.push_back(slots_[i & mask_]);
   // Writer may have lapped us mid-copy: discard the prefix that could
-  // have been overwritten (slot i is unsafe once head' > i + cap).
-  const std::uint64_t head_after = head_.load(std::memory_order_acquire);
-  if (head_after > begin + cap) {
+  // have been overwritten. Event i + cap reuses slot i, so slot i is
+  // unsafe once that write was claimed (claimed > i + cap), even if it
+  // is still in progress.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t claimed = claimed_.load(std::memory_order_relaxed);
+  if (claimed > begin + cap) {
     const std::uint64_t unsafe = std::min<std::uint64_t>(
-        head_after - cap - begin, static_cast<std::uint64_t>(out.size()));
+        claimed - cap - begin, static_cast<std::uint64_t>(out.size()));
     out.erase(out.begin(),
               out.begin() + static_cast<std::ptrdiff_t>(unsafe));
   }

@@ -98,6 +98,9 @@ class FlightRing {
   std::vector<FlightEvent> slots_;
   std::size_t mask_;
   std::atomic<std::uint64_t> head_{0};  ///< next write position
+  /// head_ + 1 while a write is in flight, else head_: the events whose
+  /// slots a writer has started to reuse.
+  std::atomic<std::uint64_t> claimed_{0};
 };
 
 class FlightRecorder {

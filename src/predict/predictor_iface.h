@@ -84,9 +84,9 @@ struct PredictorParams {
 
   /// Per-link feed queue capacity; a full queue drops (never blocks).
   std::size_t feed_queue_capacity = 4096;
-  /// Mining-thread cadence: a pass runs when this many observations have
-  /// been drained or the interval elapsed, whichever first.
-  std::size_t mine_batch = 512;
+  /// Mining-thread cadence: the background thread mines once per
+  /// interval, however many observations are queued; mine_now() forces
+  /// a pass.
   std::int64_t mine_interval_us = 20'000;
 
   /// 0 = synchronous: no background thread, feed() applies immediately

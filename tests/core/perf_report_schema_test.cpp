@@ -106,8 +106,8 @@ std::vector<std::string> validate_report(const JsonValue& doc) {
 }
 
 /// A sim report using every shape the schema admits: an optimized row,
-/// a baseline row (reports written before the allocation gate carry
-/// them), and a named ratio.
+/// a baseline row (the shard sweep's 1-shard cell, and sim reports
+/// written before the allocation gate), and a named ratio.
 PerfReport sample_report() {
   PerfReport report;
   report.suite = "sim";

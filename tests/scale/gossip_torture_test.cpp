@@ -69,27 +69,39 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
   std::atomic<std::uint64_t> reads_failed{0};
   std::atomic<bool> corrupt{false};
   // The writers finish within a few milliseconds. They wait until the
-  // three readers and the merger run, so that reads overlap publishes
-  // even on a host too busy to schedule the reader threads at once.
-  constexpr int kObservers = 4;
+  // readers and the merger run, so that reads overlap publishes even on a
+  // host too busy to schedule the reader threads at once.
+  constexpr int kReaders = 3;
+  constexpr int kObservers = kReaders + 1;
   std::atomic<int> started{0};
+  // Halfway through, each writer stops at a quiet point until every
+  // reader has completed one successful read(). A paused writer's slot
+  // cannot tear, so each reader gets its read while the other writers may
+  // still be publishing, however the threads are scheduled.
+  std::atomic<int> readers_with_read{0};
 
   std::vector<std::thread> writers;
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    writers.emplace_back([&board, &started, s] {
+    writers.emplace_back([&board, &started, &readers_with_read, s] {
       while (started.load(std::memory_order_acquire) < kObservers)
         std::this_thread::yield();
-      for (std::uint64_t v = 1; v <= kPublishes; ++v)
+      for (std::uint64_t v = 1; v <= kPublishes; ++v) {
         board.publish(s, derived_snapshot(s, v, kBackends));
+        if (v == kPublishes / 2) {
+          while (readers_with_read.load(std::memory_order_acquire) < kReaders)
+            std::this_thread::yield();
+        }
+      }
     });
   }
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       started.fetch_add(1, std::memory_order_release);
       ShardLoadSnapshot out;
       std::uint64_t last_version[kShards] = {0};
+      bool had_read = false;
       while (!stop.load(std::memory_order_acquire)) {
         for (std::uint32_t s = 0; s < kShards; ++s) {
           if (!board.read(s, out)) {
@@ -97,6 +109,10 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
             continue;
           }
           reads_ok.fetch_add(1, std::memory_order_relaxed);
+          if (!had_read) {
+            had_read = true;
+            readers_with_read.fetch_add(1, std::memory_order_release);
+          }
           if (!snapshot_consistent(out) || out.shard != s ||
               out.version < last_version[s] || out.version > kPublishes) {
             corrupt.store(true, std::memory_order_release);
@@ -134,11 +150,12 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
   merger.join();
 
   EXPECT_FALSE(corrupt.load()) << "torn or regressed snapshot observed";
-  // Correctness only: bounded-retry reads are ALLOWED to fail under
-  // contention (on an oversubscribed host a descheduled reader can lose
-  // many rounds in a row), but successful reads must never be torn, and
-  // some reads must succeed over the whole run.
-  EXPECT_GT(reads_ok.load(), 0u);
+  // Bounded-retry reads are ALLOWED to fail under contention (on an
+  // oversubscribed host a descheduled reader can lose many rounds in a
+  // row), but successful reads must never be torn. The writers' midway
+  // pause guarantees every reader at least one success while publishing
+  // is still in progress.
+  EXPECT_GE(reads_ok.load(), static_cast<std::uint64_t>(kReaders));
   (void)reads_failed;
 
   // Quiescent state: the final snapshot of every slot is the last publish.
