@@ -353,10 +353,8 @@ int main(int argc, char** argv) {
                 << " wasted=" << r.prefetch_wasted
                 << " waste-ratio="
                 << util::Table::num(r.prefetch_waste_ratio(), 3)
-                << " drops=" << r.predict_drops
                 << " (feeds=" << r.predictor.feeds
-                << " mine-passes=" << r.predictor.mine_passes
-                << " publishes=" << r.predictor.publishes << ")\n";
+                << " mine-passes=" << r.predictor.mine_passes << ")\n";
     }
     std::cerr << r.policy << ": slo short-burn="
               << util::Table::num(r.slo.short_window.burn_rate, 2)

@@ -86,13 +86,7 @@ void Distributor::configure_shard(DistributorShardOptions options) {
 void Distributor::set_predictor(predict::IPredictor* service,
                                 double min_confidence, std::size_t fanout) {
   if (started_ || service == nullptr) return;
-  predictor_ = service;
-  // One feed link per shard: the prediction service treats each link as an
-  // independent SPSC ring, so shards never contend on the feed path.
-  predict_link_ = service->register_link(
-      shard_.num_shards > 1
-          ? "distributor-shard" + std::to_string(shard_.shard_id)
-          : "distributor");
+  predict_link_ = service->register_link();
   prefetch_min_confidence_ = min_confidence;
   prefetch_fanout_ = std::max<std::size_t>(1, fanout);
 }
@@ -431,11 +425,7 @@ void Distributor::predict_and_prefetch(ClientConn& conn,
   obs.file = r.file;
   obs.main_page = !r.is_embedded;
   obs.t_us = now_us;
-  if (!predict_link_->feed(obs)) {
-    counters_.predict_drops.fetch_add(1, std::memory_order_relaxed);
-    obs::flight_record(obs::FlightEventType::kPredictDrop, conn.conn_id,
-                       r.file);
-  }
+  predict_link_->feed(obs);
   if (r.is_embedded) return;
 
   conn.history.push_back(r.file);

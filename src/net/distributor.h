@@ -83,7 +83,9 @@ struct DistributorCounters {
   std::atomic<std::uint64_t> prefetch_responses{0};  ///< acks from workers
   std::atomic<std::uint64_t> prefetch_hits{0};   ///< client HITs on warmed
   std::atomic<std::uint64_t> prefetch_wasted{0}; ///< issued-hits at stop()
-  std::atomic<std::uint64_t> predict_drops{0};   ///< feed-queue-full drops
+  /// Always 0: predictor feeds apply in place and never drop. Kept
+  /// because the benchmark harness (perfbench/live.cpp) reads it.
+  std::atomic<std::uint64_t> predict_drops{0};
 };
 
 /// Observability wiring, fixed before start().
@@ -137,8 +139,7 @@ class Distributor {
   /// Must precede start(); ignored afterwards.
   void configure_obs(DistributorObsOptions options);
 
-  /// Places this distributor in a shard group. Must precede start() (and
-  /// set_predictor(), which derives the per-shard feed-link name).
+  /// Places this distributor in a shard group. Must precede start().
   void configure_shard(DistributorShardOptions options);
 
   /// Thread-safe: transfers ownership of an accepted client fd to this
@@ -150,8 +151,8 @@ class Distributor {
   /// link with `service` (borrowed, must outlive the distributor), feeds
   /// every routed client request, and issues X-Prord-Prefetch GETs for
   /// associations whose confidence clears `min_confidence` (at most
-  /// `fanout` per routed main page). Must precede start(). The feed never
-  /// blocks the event loop: a full queue drops and counts.
+  /// `fanout` per routed main page). Must precede start(). Each feed
+  /// applies in place on the event-loop thread (docs/PREDICTOR.md).
   void set_predictor(predict::IPredictor* service, double min_confidence,
                      std::size_t fanout);
 
@@ -312,7 +313,6 @@ class Distributor {
   DistributorCounters counters_;
 
   // Live prefetch state (distributor-thread only, except the counters).
-  predict::IPredictor* predictor_ = nullptr;     ///< borrowed service
   std::shared_ptr<predict::IPredictorLink> predict_link_;
   double prefetch_min_confidence_ = 0.4;
   std::size_t prefetch_fanout_ = 2;

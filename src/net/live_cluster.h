@@ -173,7 +173,6 @@ struct LiveRunResult {
   std::uint64_t prefetch_responses = 0;
   std::uint64_t prefetch_hits = 0;    ///< client HITs on warmed files
   std::uint64_t prefetch_wasted = 0;  ///< warmed but never client-hit
-  std::uint64_t predict_drops = 0;    ///< event-loop feeds dropped
   predict::PredictorStats predictor;  ///< service-side statistics
 
   /// Fraction of issued prefetches no client ever consumed.

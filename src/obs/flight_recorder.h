@@ -35,10 +35,9 @@ enum class FlightEventType : std::uint8_t {
   kSloViolation = 7,   ///< a=short burn x1000, b=long burn x1000
   kDump = 8,           ///< recorded when a dump is taken
   kPrefetchIssue = 9,  ///< a=server, b=file, c=request index (live prefetch)
-  kPredictDrop = 10,   ///< a=conn, b=file (predictor feed queue full)
 };
 
-inline constexpr unsigned kNumFlightEventTypes = 11;
+inline constexpr unsigned kNumFlightEventTypes = 10;
 
 constexpr const char* flight_event_name(FlightEventType t) noexcept {
   switch (t) {
@@ -52,7 +51,6 @@ constexpr const char* flight_event_name(FlightEventType t) noexcept {
     case FlightEventType::kSloViolation: return "slo_violation";
     case FlightEventType::kDump: return "dump";
     case FlightEventType::kPrefetchIssue: return "prefetch_issue";
-    case FlightEventType::kPredictDrop: return "predict_drop";
   }
   return "?";
 }

@@ -8,7 +8,6 @@ namespace prord::policies {
 Prord::Prord(std::shared_ptr<logmining::MiningModel> model,
              const trace::FileTable& files, PrordOptions options)
     : model_(std::move(model)),
-      predict_link_(model_),
       files_(files),
       options_([&options] {
         // Fig. 4 step 3: "selects a least loaded backend server which hosts
@@ -26,7 +25,6 @@ Prord::Prord(std::shared_ptr<logmining::MiningModel> model,
 void Prord::set_model(std::shared_ptr<logmining::MiningModel> model) {
   if (!model) throw std::invalid_argument("Prord::set_model: null model");
   model_ = std::move(model);
-  predict_link_.rebind(model_);
 }
 
 std::string_view Prord::name() const {
@@ -231,16 +229,16 @@ void Prord::trigger_prefetch(const trace::Request& /*req*/, ServerId server,
 
   // Navigation prediction (Algorithm 2): prefetch the likely next page
   // (and its bundle) when confidence clears the threshold.
-  const auto prediction = predict_link_.best(history, threshold_);
+  const auto prediction = model_->predictor().predict(history, threshold_);
   if (!prediction) return;
   // Dynamic pages cannot be prefetched (generated per request), but their
   // static bundle can.
   const bool dynamic_page =
-      options_.dynamic_aware && files_.is_dynamic(prediction->file);
+      options_.dynamic_aware && files_.is_dynamic(prediction->page);
   ++prefetches_triggered_;
   if (adaptation_) adaptation_->on_prefetch_issued();
-  if (!dynamic_page) stage(prediction->file);
-  for (trace::FileId obj : model_->bundles().bundle_of(prediction->file))
+  if (!dynamic_page) stage(prediction->page);
+  for (trace::FileId obj : model_->bundles().bundle_of(prediction->page))
     stage(obj);
 }
 
@@ -260,11 +258,11 @@ void Prord::on_routed(const trace::Request& req, ServerId server,
     // Score the model before it learns from this arrival: would its
     // confident guess have anticipated the page? This is the live quality
     // signal the drift monitor watches.
-    const auto guess = predict_link_.best(history, threshold_);
-    const bool correct = guess && guess->file == req.file;
+    const auto guess = model_->predictor().predict(history, threshold_);
+    const bool correct = guess && guess->page == req.file;
     ++(correct ? prediction_hits_ : prediction_misses_);
     if (adaptation_) adaptation_->on_prediction(correct);
-    predict_link_.feed_transition(history, req.file);
+    model_->predictor().observe_transition(history, req.file);
   }
   history.push_back(req.file);
   if (history.size() > options_.max_history)

@@ -152,10 +152,4 @@ void MithrilMiner::promote(trace::FileId source, const Association& assoc) {
     row.resize(params_.max_associations);
 }
 
-std::shared_ptr<const MithrilSnapshot> MithrilMiner::snapshot() const {
-  auto snap = std::make_shared<MithrilSnapshot>();
-  snap->table = prefetch_;
-  return snap;
-}
-
 }  // namespace prord::predict

@@ -21,32 +21,18 @@
 // Eviction is deterministic everywhere: same observation stream, same
 // tables — the eviction-determinism test pins it.
 //
-// Thread contract: observe()/mine() belong to one thread (the service's
-// mining thread); snapshot() hands out an immutable copy for concurrent
-// readers.
+// Not thread-safe: the PredictionService calls every member under its
+// one mutex.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "predict/predictor_iface.h"
 
 namespace prord::predict {
-
-/// Immutable prediction state published after a mine pass. Readers hold
-/// the shared_ptr; the miner never mutates a published snapshot.
-struct MithrilSnapshot {
-  /// source file -> associations, highest confidence first.
-  std::unordered_map<trace::FileId, std::vector<Association>> table;
-
-  const std::vector<Association>* find(trace::FileId file) const {
-    const auto it = table.find(file);
-    return it == table.end() ? nullptr : &it->second;
-  }
-};
 
 class MithrilMiner {
  public:
@@ -62,8 +48,12 @@ class MithrilMiner {
   /// Returns the number of associations promoted this pass.
   std::size_t mine();
 
-  /// Immutable copy of the current prefetch table (after mine()).
-  std::shared_ptr<const MithrilSnapshot> snapshot() const;
+  /// The prefetch-table row promoted for `source` (highest confidence
+  /// first), or nullptr. Valid until the next observe()/mine().
+  const std::vector<Association>* find(trace::FileId source) const {
+    const auto it = prefetch_.find(source);
+    return it == prefetch_.end() ? nullptr : &it->second;
+  }
 
   // Occupancy (for PredictorStats).
   std::size_t record_rows() const noexcept { return records_.size(); }

@@ -1,7 +1,6 @@
 #include "predict/prediction_service.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace prord::predict {
 namespace {
@@ -14,21 +13,17 @@ logmining::MiningConfig mining_config_for(const PredictorParams& params) {
   return config;
 }
 
-/// Empty-window warm-start clone: the second MiningModel constructor with
-/// an empty session/request window clones the predictor from `source` and
-/// leaves bundles/popularity empty — exactly what a published prediction
-/// snapshot needs.
-std::shared_ptr<logmining::MiningModel> clone_model(
-    const logmining::MiningModel& source) {
-  return std::make_shared<logmining::MiningModel>(
-      std::span<const logmining::Session>{},
-      std::span<const trace::Request>{}, source.config(), &source);
-}
-
-std::shared_ptr<logmining::MiningModel> empty_model(
-    const logmining::MiningConfig& config) {
-  return std::make_shared<logmining::MiningModel>(
-      std::span<const trace::Request>{}, config);
+/// The graph backend's working model: an empty-window warm-start clone of
+/// `warm_start` (the predictor only; bundles and popularity stay empty),
+/// or an empty model when there is none.
+std::unique_ptr<logmining::MiningModel> working_model(
+    const PredictorParams& params, const logmining::MiningModel* warm_start) {
+  if (warm_start)
+    return std::make_unique<logmining::MiningModel>(
+        std::span<const logmining::Session>{},
+        std::span<const trace::Request>{}, warm_start->config(), warm_start);
+  return std::make_unique<logmining::MiningModel>(
+      std::span<const trace::Request>{}, mining_config_for(params));
 }
 
 }  // namespace
@@ -46,35 +41,22 @@ const char* algo_name(Algo algo) noexcept {
 
 class PredictionService::Link final : public IPredictorLink {
  public:
-  Link(PredictionService* service, std::shared_ptr<LinkState> state)
-      : service_(service), state_(std::move(state)) {}
-
-  bool feed(const Observation& obs) override {
-    if (service_->params_.threads == 0) {
-      service_->feed_sync(obs);
-      return true;
-    }
-    if (state_->queue.push(obs)) {
-      service_->feeds_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    service_->drops_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  explicit Link(PredictionService* service) : service_(service) {
+    service_->links_.fetch_add(1, std::memory_order_relaxed);
   }
+  ~Link() override { service_->links_.fetch_sub(1, std::memory_order_relaxed); }
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
-  std::optional<Association> best(std::span<const trace::FileId> context,
-                                  double min_confidence) override {
-    return service_->query_best(context, min_confidence);
-  }
+  void feed(const Observation& obs) override { service_->feed(obs); }
 
   std::vector<Association> associations(std::span<const trace::FileId> context,
                                         std::size_t k) override {
-    return service_->query_all(context, k);
+    return service_->associations(context, k);
   }
 
  private:
   PredictionService* service_;
-  std::shared_ptr<LinkState> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -82,91 +64,35 @@ class PredictionService::Link final : public IPredictorLink {
 
 PredictionService::PredictionService(
     const PredictorParams& params,
-    std::shared_ptr<logmining::MiningModel> warm_start)
+    const std::shared_ptr<logmining::MiningModel>& warm_start)
     : params_(params),
       history_cap_(std::max<std::size_t>(params.order + 1,
-                                         params.lookahead_range)) {
-  if (params_.algo == Algo::kMithril) {
+                                         params.lookahead_range)),
+      interval_us_(std::max<std::int64_t>(1, params.mine_interval_us)),
+      next_pass_us_(interval_us_) {
+  if (params_.algo == Algo::kMithril)
     miner_ = std::make_unique<MithrilMiner>(params_);
-    mithril_snap_ = std::make_shared<const MithrilSnapshot>();
-  } else {
-    const auto config = mining_config_for(params_);
-    if (warm_start) {
-      // Private working copy: the caller's model keeps serving elsewhere
-      // (e.g. the Prord policy) and must never race the mining thread.
-      working_ = clone_model(*warm_start);
-      swap_ = std::make_unique<adapt::ModelSwap>(std::move(warm_start));
-    } else {
-      working_ = empty_model(config);
-      swap_ = std::make_unique<adapt::ModelSwap>(empty_model(config));
-    }
+  else
+    working_ = working_model(params_, warm_start.get());
+}
+
+std::shared_ptr<IPredictorLink> PredictionService::register_link() {
+  return std::make_shared<Link>(this);
+}
+
+void PredictionService::feed(const Observation& obs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The pass covers everything fed before the boundary this feed reaches.
+  if (obs.t_us >= next_pass_us_) {
+    mine_locked();
+    next_pass_us_ = (obs.t_us / interval_us_ + 1) * interval_us_;
   }
-}
-
-PredictionService::~PredictionService() { stop(); }
-
-std::shared_ptr<IPredictorLink> PredictionService::register_link(
-    std::string name) {
-  auto state = std::make_shared<LinkState>(std::move(name),
-                                           params_.feed_queue_capacity);
-  {
-    std::lock_guard<std::mutex> lock(links_mu_);
-    links_.push_back(state);
-  }
-  return std::make_shared<Link>(this, std::move(state));
-}
-
-void PredictionService::start() {
-  if (params_.threads == 0) return;
-  std::lock_guard<std::mutex> lock(cv_mu_);
-  if (miner_thread_.joinable()) return;
-  stop_requested_ = false;
-  miner_thread_ = std::thread([this] { mining_loop(); });
-}
-
-void PredictionService::stop() {
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (miner_thread_.joinable()) miner_thread_.join();
-}
-
-void PredictionService::mining_loop() {
-  std::unique_lock<std::mutex> lock(cv_mu_);
-  while (!stop_requested_) {
-    cv_.wait_for(lock, std::chrono::microseconds(params_.mine_interval_us),
-                 [this] { return stop_requested_; });
-    if (stop_requested_) break;
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> mine_lock(mine_mu_);
-      drain_and_mine_locked(/*force_publish=*/false);
-    }
-    lock.lock();
-  }
-  lock.unlock();
-  // Final drain: everything fed before stop() lands in the model, and the
-  // last generation is published for post-run inspection.
-  std::lock_guard<std::mutex> mine_lock(mine_mu_);
-  drain_and_mine_locked(/*force_publish=*/true);
-}
-
-void PredictionService::mine_now() {
-  std::lock_guard<std::mutex> lock(mine_mu_);
-  drain_and_mine_locked(/*force_publish=*/true);
-}
-
-void PredictionService::feed_sync(const Observation& obs) {
-  std::lock_guard<std::mutex> lock(mine_mu_);
   apply_locked(obs);
-  feeds_.fetch_add(1, std::memory_order_relaxed);
+  ++feeds_;
 }
 
 void PredictionService::apply_locked(const Observation& obs) {
-  ++applied_since_publish_;
-  if (params_.algo == Algo::kMithril) {
+  if (miner_) {
     miner_->observe(obs);
     return;
   }
@@ -195,138 +121,48 @@ void PredictionService::apply_locked(const Observation& obs) {
   if (pages.size() > history_cap_) pages.erase(pages.begin());
 }
 
-void PredictionService::drain_and_mine_locked(bool force_publish) {
-  // Snapshot the live links (pruning the expired) without holding
-  // links_mu_ across the drain — register_link never waits on mining.
-  std::vector<std::shared_ptr<LinkState>> live;
-  {
-    std::lock_guard<std::mutex> lock(links_mu_);
-    std::erase_if(links_, [&live](const std::weak_ptr<LinkState>& weak) {
-      auto strong = weak.lock();
-      if (!strong) return true;
-      live.push_back(std::move(strong));
-      return false;
-    });
-  }
-  for (const auto& link : live) {
-    scratch_.clear();
-    link->queue.drain(scratch_);
-    for (const Observation& obs : scratch_) apply_locked(obs);
-  }
-
-  bool changed = applied_since_publish_ > 0;
-  if (params_.algo == Algo::kMithril) {
-    changed = (miner_->mine() > 0) || changed;
-  } else if (working_->predictor().num_entries() >
-             params_.mining_table_rows) {
+void PredictionService::mine_locked() {
+  if (miner_) {
+    miner_->mine();
+  } else {
     // Bounded memory for the graph: halve counters (dropping zeros) until
     // the table fits — age() is the predictor's own eviction mechanism.
+    auto& predictor = working_->predictor();
     for (int round = 0;
-         round < 8 && working_->predictor().num_entries() >
-                          params_.mining_table_rows;
+         round < 8 && predictor.num_entries() > params_.mining_table_rows;
          ++round)
-      working_->predictor().age(0.5);
-    changed = true;
+      predictor.age(0.5);
   }
-  mine_passes_.fetch_add(1, std::memory_order_relaxed);
-  publish_locked(changed || force_publish);
+  ++mine_passes_;
 }
 
-void PredictionService::publish_locked(bool changed) {
-  if (!changed) return;
-  applied_since_publish_ = 0;
-  if (params_.algo == Algo::kMithril) {
-    auto snap = miner_->snapshot();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    mithril_snap_ = std::move(snap);
-  } else {
-    swap_->publish(clone_model(*working_));
-  }
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::optional<Association> PredictionService::query_best(
-    std::span<const trace::FileId> context, double min_confidence) {
-  predictions_.fetch_add(1, std::memory_order_relaxed);
-  if (context.empty()) return std::nullopt;
-
-  if (params_.algo == Algo::kMithril) {
-    std::shared_ptr<const MithrilSnapshot> snap;
-    {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap = mithril_snap_;
-    }
-    const auto* row = snap->find(context.back());
-    if (!row) return std::nullopt;
-    for (const Association& assoc : *row)
-      if (assoc.confidence >= min_confidence) return assoc;
-    return std::nullopt;
-  }
-
-  if (params_.threads == 0) {
-    // Synchronous mode reads the working model directly: a feed is visible
-    // to the very next query, which is what the sim path's determinism
-    // (and the legacy-equality test) requires.
-    std::lock_guard<std::mutex> lock(mine_mu_);
-    const auto p = working_->predictor().predict(context, min_confidence);
-    if (!p) return std::nullopt;
-    return Association{p->page, p->confidence};
-  }
-  const auto snapshot = swap_->current();
-  const auto p = snapshot->model->predictor().predict(context, min_confidence);
-  if (!p) return std::nullopt;
-  return Association{p->page, p->confidence};
-}
-
-std::vector<Association> PredictionService::query_all(
+std::vector<Association> PredictionService::associations(
     std::span<const trace::FileId> context, std::size_t k) {
-  predictions_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Association> out;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++predictions_;
   if (context.empty() || k == 0) return out;
 
-  if (params_.algo == Algo::kMithril) {
-    std::shared_ptr<const MithrilSnapshot> snap;
-    {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap = mithril_snap_;
-    }
-    const auto* row = snap->find(context.back());
-    if (!row) return out;
-    for (const Association& assoc : *row) {
-      out.push_back(assoc);
-      if (out.size() >= k) break;
-    }
+  if (miner_) {
+    if (const auto* row = miner_->find(context.back()))
+      out.assign(row->begin(),
+                 row->begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(k, row->size())));
     return out;
   }
-
-  const auto collect = [&](const logmining::Predictor& predictor) {
-    for (const auto& p : predictor.predict_all(context, k))
-      out.push_back(Association{p.page, p.confidence});
-  };
-  if (params_.threads == 0) {
-    std::lock_guard<std::mutex> lock(mine_mu_);
-    collect(working_->predictor());
-  } else {
-    const auto snapshot = swap_->current();
-    collect(snapshot->model->predictor());
-  }
+  for (const auto& p : working_->predictor().predict_all(context, k))
+    out.push_back(Association{p.page, p.confidence});
   return out;
 }
 
 PredictorStats PredictionService::stats() const {
   PredictorStats s;
-  s.feeds = feeds_.load(std::memory_order_relaxed);
-  s.drops = drops_.load(std::memory_order_relaxed);
-  s.mine_passes = mine_passes_.load(std::memory_order_relaxed);
-  s.publishes = publishes_.load(std::memory_order_relaxed);
-  s.predictions = predictions_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(links_mu_);
-    for (const auto& weak : links_)
-      if (!weak.expired()) ++s.links;
-  }
-  std::lock_guard<std::mutex> lock(mine_mu_);
-  if (params_.algo == Algo::kMithril) {
+  s.links = links_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  s.feeds = feeds_;
+  s.mine_passes = mine_passes_;
+  s.predictions = predictions_;
+  if (miner_) {
     s.record_rows = miner_->record_rows();
     s.mining_rows = miner_->mining_rows();
     s.prefetch_rows = miner_->prefetch_rows();
@@ -341,7 +177,7 @@ PredictorStats PredictionService::stats() const {
 std::unique_ptr<IPredictor> make_prediction_service(
     const PredictorParams& params,
     std::shared_ptr<logmining::MiningModel> warm_start) {
-  return std::make_unique<PredictionService>(params, std::move(warm_start));
+  return std::make_unique<PredictionService>(params, warm_start);
 }
 
 }  // namespace prord::predict

@@ -1,169 +1,85 @@
-// PredictionService: the concurrent IPredictor (docs/PREDICTOR.md).
+// PredictionService: the IPredictor (docs/PREDICTOR.md).
 //
-// Shape: producers (distributor event loop, worker threads, the sim
-// dispatcher in synchronous mode) register links; each link owns a
-// bounded single-producer ring the producer pushes observations into
-// without ever taking a lock — a full ring drops and counts, it never
-// stalls the event loop. One background mining thread drains every live
-// ring on a cadence (mine_interval_us), applies the observations to the
-// selected algorithm backend, and publishes an immutable prediction
-// snapshot:
+// One working state behind one mutex. Producers (each live distributor
+// shard's event loop) feed through their links, and feed() applies the
+// observation in place on the caller's thread:
 //
 //   * kPrordGraph — observations become observe_transition() calls on a
 //     private working MiningModel (per-connection context rows, main
-//     pages only, exactly the Prord policy's online-update rule); each
-//     pass that applied anything publishes a warm-start *clone* of the
-//     working model through adapt::ModelSwap, so readers hold a torn-free
-//     generation while the miner keeps mutating its own copy. The graph
-//     is bounded by aging: whenever num_entries exceeds
-//     mining_table_rows the counters halve until it fits.
-//   * kMithril — observations feed the MithrilMiner's bounded tables; a
-//     pass runs mine() and publishes a MithrilSnapshot copy.
+//     pages only, exactly the Prord policy's online-update rule). The
+//     graph is bounded by aging: each periodic pass halves the counters
+//     while num_entries exceeds mining_table_rows.
+//   * kMithril — observations feed the MithrilMiner's bounded tables; each
+//     periodic pass runs mine(), promoting banded pairs.
 //
-// threads == 0 collapses the whole machine to synchronous: feed() applies
-// under the mining mutex immediately and best() reads the working state
-// directly — the deterministic mode the sim path and the equality tests
-// use (no queue, no drops, no publication delay).
+// The periodic pass runs inline, in the feed() whose t_us reaches the
+// next mine_interval_us boundary. associations() reads the working state
+// under the same mutex, so a feed is visible to the next query from any
+// link, and the service is deterministic for a given feed order.
 //
-// Lifetime: the service must outlive every link it hands out. Links may
-// register and drop concurrently with mining; the miner prunes expired
-// links each pass.
+// Lifetime: the service must outlive every link it hands out.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
-#include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "adapt/model_swap.h"
 #include "logmining/mining_model.h"
 #include "predict/mithril.h"
 #include "predict/predictor_iface.h"
 
 namespace prord::predict {
 
-/// Bounded single-producer/single-consumer observation ring. push() is
-/// the producer side (one thread per queue — the link contract); drain()
-/// is the consumer side (the mining thread). Neither ever blocks.
-class FeedQueue {
- public:
-  explicit FeedQueue(std::size_t capacity)
-      : slots_(capacity == 0 ? 1 : capacity) {}
-
-  /// False when full (the observation is dropped, never queued late).
-  bool push(const Observation& obs) noexcept {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == slots_.size()) return false;
-    slots_[tail % slots_.size()] = obs;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Appends everything currently queued to `out`; returns the count.
-  std::size_t drain(std::vector<Observation>& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    for (std::size_t i = head; i != tail; ++i)
-      out.push_back(slots_[i % slots_.size()]);
-    head_.store(tail, std::memory_order_release);
-    return tail - head;
-  }
-
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
- private:
-  std::vector<Observation> slots_;
-  alignas(64) std::atomic<std::size_t> head_{0};  ///< consumer cursor
-  alignas(64) std::atomic<std::size_t> tail_{0};  ///< producer cursor
-};
-
 class PredictionService final : public IPredictor {
  public:
   /// `warm_start` (may be null) seeds the PRORD-graph backend with an
-  /// offline-mined model; the service works on a private clone and never
-  /// mutates the caller's object. Mithril ignores it.
+  /// offline-mined model; the service learns on a private clone and never
+  /// touches the caller's object again. Mithril ignores it.
   PredictionService(const PredictorParams& params,
-                    std::shared_ptr<logmining::MiningModel> warm_start);
-  ~PredictionService() override;
+                    const std::shared_ptr<logmining::MiningModel>& warm_start);
 
   PredictionService(const PredictionService&) = delete;
   PredictionService& operator=(const PredictionService&) = delete;
 
-  std::shared_ptr<IPredictorLink> register_link(std::string name) override;
-  void start() override;
-  void stop() override;
-  void mine_now() override;
+  std::shared_ptr<IPredictorLink> register_link() override;
   PredictorStats stats() const override;
   const PredictorParams& params() const override { return params_; }
 
  private:
   class Link;
 
-  /// Per-link shared state; the link holds the strong reference, the
-  /// service only a weak one (dropping the link unregisters it).
-  struct LinkState {
-    std::string name;
-    FeedQueue queue;
-    LinkState(std::string link_name, std::size_t capacity)
-        : name(std::move(link_name)), queue(capacity) {}
-  };
-
   struct HistoryRow {
     std::vector<trace::FileId> pages;
     std::list<std::uint32_t>::iterator lru_it;
   };
 
-  void feed_sync(const Observation& obs);            // threads == 0 path
-  void apply_locked(const Observation& obs);         // mine_mu_ held
-  void drain_and_mine_locked(bool force_publish);    // mine_mu_ held
-  void publish_locked(bool changed);                 // mine_mu_ held
-  void mining_loop();
-
-  std::optional<Association> query_best(std::span<const trace::FileId> ctx,
-                                        double min_confidence);
-  std::vector<Association> query_all(std::span<const trace::FileId> ctx,
-                                     std::size_t k);
+  void feed(const Observation& obs);
+  std::vector<Association> associations(std::span<const trace::FileId> ctx,
+                                        std::size_t k);
+  void apply_locked(const Observation& obs);  // mu_ held
+  void mine_locked();                         // mu_ held
 
   const PredictorParams params_;
   const std::size_t history_cap_;  ///< graph context length per connection
+  const std::int64_t interval_us_;  ///< mine_interval_us, at least 1
 
-  mutable std::mutex links_mu_;
-  std::vector<std::weak_ptr<LinkState>> links_;
-
-  // Algorithm state, all guarded by mine_mu_.
-  mutable std::mutex mine_mu_;
-  std::shared_ptr<logmining::MiningModel> working_;  ///< graph, miner-owned
+  // Working state, all guarded by mu_.
+  mutable std::mutex mu_;
+  std::unique_ptr<logmining::MiningModel> working_;  ///< graph backend
   std::unique_ptr<MithrilMiner> miner_;              ///< mithril backend
   std::unordered_map<std::uint32_t, HistoryRow> history_;
   std::list<std::uint32_t> history_lru_;  ///< front = most recently fed
-  std::size_t applied_since_publish_ = 0;
-  std::vector<Observation> scratch_;
+  std::int64_t next_pass_us_;             ///< feed-clock pass boundary
+  std::uint64_t feeds_ = 0;
+  std::uint64_t mine_passes_ = 0;
+  std::uint64_t predictions_ = 0;
 
-  // Publication (readers never touch mine_mu_).
-  std::unique_ptr<adapt::ModelSwap> swap_;  ///< graph snapshots
-  mutable std::mutex snap_mu_;
-  std::shared_ptr<const MithrilSnapshot> mithril_snap_;
-
-  // Background mining thread.
-  std::thread miner_thread_;
-  std::condition_variable cv_;
-  std::mutex cv_mu_;
-  bool stop_requested_ = false;
-
-  mutable std::atomic<std::uint64_t> feeds_{0};
-  mutable std::atomic<std::uint64_t> drops_{0};
-  mutable std::atomic<std::uint64_t> mine_passes_{0};
-  mutable std::atomic<std::uint64_t> publishes_{0};
-  mutable std::atomic<std::uint64_t> predictions_{0};
+  std::atomic<std::size_t> links_{0};
 };
 
 }  // namespace prord::predict

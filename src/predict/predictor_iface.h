@@ -1,33 +1,28 @@
 // Predictor-as-a-service interface (docs/PREDICTOR.md).
 //
-// PRORD's "proactive" claim needs a prediction seam both the simulated
-// dispatcher and the live socket path can share: consumers (a policy, a
-// distributor shard, a worker thread) *register a link* with a predictor,
-// *feed* observations through it without ever blocking, and *pull* ranked
-// associations when they want to prefetch. All synchronization lives
-// behind the link — the Mithril/dbsp IPredictorLink shape — so algorithm
-// backends (the paper's n-order path graph, Mithril-style association
-// mining, future PPE keyword rules) are swappable and A/B-able behind one
-// interface.
+// PRORD's "proactive" claim needs a prediction seam the live socket path
+// can share across shards: consumers (a distributor shard, a test thread)
+// *register a link* with a predictor, *feed* the requests they route
+// through it, and *pull* ranked associations when they want to prefetch.
+// The algorithm backends (the paper's n-order path graph, Mithril-style
+// association mining) are swappable behind one interface.
 //
 // Contract:
-//   * feed() never blocks the caller. A full feed queue drops the
-//     observation and returns false; drops are counted, not stalled.
-//   * best()/associations() read the most recently *published* model
-//     snapshot — a feed is not guaranteed visible until the service's
-//     mining pass has drained it and published (threads = 0 collapses
-//     this to synchronous apply, which the sim path uses for
-//     determinism).
-//   * One link is one producer: feed() is single-threaded per link
-//     (register one link per producing thread); best()/associations()
-//     may be called from any thread.
+//   * feed() applies the observation in place, on the caller's thread,
+//     under the service's one mutex (the paper's per-request "dynamic
+//     on-line tracking"). It never drops and is visible to the very next
+//     associations() call, from any link.
+//   * associations() reads the same working state under the same mutex.
+//   * The periodic pass (graph: the mining_table_rows aging bound;
+//     Mithril: promotion into the prefetch table) runs inline, in the
+//     feed() whose Observation::t_us crosses the next mine_interval_us
+//     boundary — the feed clock, not a timer thread.
+//   * Links are handles: any thread may feed or query through any link.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "trace/log_record.h"
@@ -69,9 +64,9 @@ struct PredictorParams {
   /// cached everywhere — mining it only burns table rows).
   std::uint32_t min_support = 2;
   std::uint32_t max_support = 4096;
-  /// Minimum confidence for best() to emit a prediction (Algorithm 2's
-  /// Threshold for the graph backend; pair-count / source-count for
-  /// Mithril).
+  /// Minimum confidence for a consumer to act on an association
+  /// (Algorithm 2's Threshold for the graph backend; pair-count /
+  /// source-count for Mithril).
   double confidence = 0.4;
 
   // Bounded-memory caps. Tables never exceed these row counts; insertion
@@ -82,18 +77,9 @@ struct PredictorParams {
   /// Associations retained per source page in the prefetch table.
   std::size_t max_associations = 4;
 
-  /// Per-link feed queue capacity; a full queue drops (never blocks).
-  std::size_t feed_queue_capacity = 4096;
-  /// Mining-thread cadence: the background thread mines once per
-  /// interval, however many observations are queued; mine_now() forces
-  /// a pass.
+  /// Cadence of the periodic pass on the feed clock: a pass runs inline
+  /// in the feed() whose t_us reaches the next multiple of this interval.
   std::int64_t mine_interval_us = 20'000;
-
-  /// 0 = synchronous: no background thread, feed() applies immediately
-  /// and publishes inline — the deterministic mode the sim dispatcher
-  /// and the unit tests use. 1 = one background mining thread (the live
-  /// cluster). Values > 1 are reserved.
-  unsigned threads = 1;
 };
 
 /// One fed event: a request the consumer finished routing/serving.
@@ -101,7 +87,7 @@ struct Observation {
   std::uint32_t conn = 0;           ///< persistent-connection id
   trace::FileId file = trace::kInvalidFile;
   bool main_page = true;            ///< false for embedded objects
-  std::int64_t t_us = 0;            ///< consumer clock (wall or sim)
+  std::int64_t t_us = 0;            ///< feed clock; paces the periodic pass
 };
 
 /// One ranked association: "given the context, `file` comes next with
@@ -113,11 +99,9 @@ struct Association {
 
 /// Service-wide statistics snapshot (metrics surface).
 struct PredictorStats {
-  std::uint64_t feeds = 0;         ///< observations accepted
-  std::uint64_t drops = 0;         ///< observations dropped (queue full)
-  std::uint64_t mine_passes = 0;   ///< mining passes completed
-  std::uint64_t publishes = 0;     ///< model snapshots published
-  std::uint64_t predictions = 0;   ///< best()/associations() calls answered
+  std::uint64_t feeds = 0;         ///< observations applied
+  std::uint64_t mine_passes = 0;   ///< periodic passes completed
+  std::uint64_t predictions = 0;   ///< associations() calls answered
   std::size_t links = 0;           ///< currently registered links
   // Bounded-table occupancy (rows in use; caps are in PredictorParams).
   std::size_t record_rows = 0;
@@ -125,49 +109,34 @@ struct PredictorStats {
   std::size_t prefetch_rows = 0;
 };
 
-/// The handle a consumer gets after registering. All synchronization is
-/// hidden behind it; dropping the last shared_ptr unregisters.
+/// The handle a consumer gets after registering; dropping the last
+/// shared_ptr unregisters it.
 class IPredictorLink {
  public:
   virtual ~IPredictorLink() = default;
 
-  /// Feeds one observation. Never blocks; returns false when the
-  /// observation was dropped (bounded queue full). Single producer per
-  /// link.
-  virtual bool feed(const Observation& obs) = 0;
+  /// Applies one observation in place (see the contract above).
+  virtual void feed(const Observation& obs) = 0;
 
-  /// Best next-file guess for a context (most recent file last), or
-  /// nullopt when nothing clears `min_confidence`. Reads the published
-  /// snapshot — wait-free with respect to the mining thread.
-  virtual std::optional<Association> best(
-      std::span<const trace::FileId> context, double min_confidence) = 0;
-
-  /// Top-k associations for a context, highest confidence first.
+  /// Top-k associations for a context (most recent file last), highest
+  /// confidence first.
   virtual std::vector<Association> associations(
       std::span<const trace::FileId> context, std::size_t k) = 0;
 };
 
-/// The shared prediction service. Threads register links; the service
-/// owns the algorithm backend, the mining thread, and the double-buffered
-/// model publication.
+/// The shared prediction service: owns the algorithm backend's working
+/// state; every link feeds and reads it.
 class IPredictor {
  public:
   virtual ~IPredictor() = default;
 
-  /// Registers a consumer. `name` labels the link in stats/flight dumps.
-  /// Thread-safe; links may register and unregister while mining runs.
-  virtual std::shared_ptr<IPredictorLink> register_link(std::string name) = 0;
+  /// Registers a consumer. Thread-safe.
+  virtual std::shared_ptr<IPredictorLink> register_link() = 0;
 
-  /// Starts the background mining thread (no-op when threads == 0).
-  virtual void start() = 0;
-  /// Drains, stops and joins (idempotent).
-  virtual void stop() = 0;
-
-  /// Synchronous drain-and-mine: applies every queued observation and
-  /// publishes. The deterministic path for tests and threads == 0 users;
-  /// also safe to call while the background thread runs (serialized with
-  /// its passes).
-  virtual void mine_now() = 0;
+  /// No-ops: the service has no thread to start or join. Kept so callers
+  /// may bracket a run the same way they bracket its other components.
+  void start() {}
+  void stop() {}
 
   virtual PredictorStats stats() const = 0;
   virtual const PredictorParams& params() const = 0;

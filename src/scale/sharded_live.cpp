@@ -52,17 +52,11 @@ void append_predictor_service_metrics(obs::MetricRegistry& reg,
                                       const predict::IPredictor& predictor) {
   const predict::PredictorStats ps = predictor.stats();
   reg.set_help("prord_predict_feeds_total",
-               "Observations accepted by the prediction service");
+               "Observations applied by the prediction service");
   reg.counter_add("prord_predict_feeds_total", {},
                   static_cast<double>(ps.feeds));
-  reg.set_help("prord_predict_drops_total",
-               "Observations dropped on a full feed queue");
-  reg.counter_add("prord_predict_drops_total", {},
-                  static_cast<double>(ps.drops));
   reg.counter_add("prord_predict_mine_passes_total", {},
                   static_cast<double>(ps.mine_passes));
-  reg.counter_add("prord_predict_publishes_total", {},
-                  static_cast<double>(ps.publishes));
   reg.counter_add("prord_predict_predictions_total", {},
                   static_cast<double>(ps.predictions));
   reg.gauge_set("prord_predict_links", static_cast<double>(ps.links));
@@ -120,7 +114,6 @@ obs::MetricRegistry build_registry(
   std::uint64_t accepts = 0, bursts = 0, eagain = 0, emfile = 0;
   std::uint64_t handoff = 0, adopted = 0;
   std::uint64_t pf_issued = 0, pf_responses = 0, pf_hits = 0, pf_wasted = 0;
-  std::uint64_t pf_drops = 0;
   reg.set_help("prord_live_shard_requests_total",
                "Client requests parsed, by front-end shard");
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -145,7 +138,6 @@ obs::MetricRegistry build_registry(
     pf_responses += c.prefetch_responses.load();
     pf_hits += c.prefetch_hits.load();
     pf_wasted += c.prefetch_wasted.load();
-    pf_drops += c.predict_drops.load();
     const obs::Labels labels{{"shard", std::to_string(s)}};
     reg.counter_add("prord_live_shard_requests_total", labels,
                     static_cast<double>(c.requests.load()));
@@ -280,8 +272,6 @@ obs::MetricRegistry build_registry(
                     static_cast<double>(pf_hits));
     reg.counter_add("prord_predict_prefetch_wasted_total", {},
                     static_cast<double>(pf_wasted));
-    reg.counter_add("prord_predict_queue_drop_events_total", {},
-                    static_cast<double>(pf_drops));
   }
 
   // Tracing and SLO posture (docs/OBSERVABILITY.md).
@@ -431,13 +421,13 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
     }
   }
 
-  // --- Prediction service: one instance, one SPSC feed link per shard.
+  // --- Prediction service: one instance, one link per shard. It learns
+  // on a private clone of the offline model, so shard 0's router keeps
+  // sole ownership of setup.model.
   std::unique_ptr<predict::IPredictor> predictor;
-  if (config.prefetch) {
+  if (config.prefetch)
     predictor = predict::make_prediction_service(config.predictor,
                                                  setup.model);
-    predictor->start();
-  }
 
   // --- Sharded front end. ---
   ShardedFrontendOptions fo;
@@ -467,7 +457,6 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
       });
   if (!fe.start()) {
     for (auto& w : workers) w->stop();
-    if (predictor) predictor->stop();
     return result;
   }
   result.started = true;
@@ -528,7 +517,6 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
 
   fe.stop();  // joins every shard thread; core reads are exact below
   for (auto& w : workers) w->stop();
-  if (predictor) predictor->stop();
 
   // --- Consolidate. ---
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -556,7 +544,6 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
       result.prefetch_responses += c.prefetch_responses.load();
       result.prefetch_hits += c.prefetch_hits.load();
       result.prefetch_wasted += c.prefetch_wasted.load();
-      result.predict_drops += c.predict_drops.load();
     }
   }
   for (const auto& w : workers)

@@ -1,13 +1,11 @@
-// Equality fuzz: the PRORD-graph backend of the PredictionService in
-// synchronous mode must be *prediction-identical* to driving the legacy
-// logmining predictor by hand with the same per-connection context rule —
-// the refactor of the Prord policy onto the predict seam rides on this
-// (and the golden routing tables pin it end-to-end).
+// Equality fuzz: the PRORD-graph backend of the PredictionService must be
+// *prediction-identical* to driving the logmining predictor by hand with
+// the same per-connection context rule. feed() applies in place, so every
+// intermediate model state is comparable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,11 +33,6 @@ class LegacyHarness {
     if (pages.size() > cap_) pages.erase(pages.begin());
   }
 
-  std::optional<logmining::Prediction> predict(
-      std::span<const FileId> context, double min_confidence) const {
-    return predictor_.predict(context, min_confidence);
-  }
-
   std::vector<logmining::Prediction> predict_all(
       std::span<const FileId> context, std::size_t k) const {
     return predictor_.predict_all(context, k);
@@ -51,17 +44,25 @@ class LegacyHarness {
   std::unordered_map<std::uint32_t, std::vector<FileId>> history_;
 };
 
+void expect_same(const std::vector<Association>& got,
+                 const std::vector<logmining::Prediction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].file, want[j].page);
+    EXPECT_DOUBLE_EQ(got[j].confidence, want[j].confidence);
+  }
+}
+
 TEST(LegacyEquality, SyncGraphMatchesCandidatePathPredictor) {
   const std::uint64_t seeds[] = {3, 17, 2006, 987654321};
   for (const std::uint64_t seed : seeds) {
     PredictorParams params;
     params.algo = Algo::kPrordGraph;
-    params.threads = 0;       // synchronous: feeds apply immediately
     params.order = 2;
     params.record_table_rows = 1 << 20;  // no history eviction: the legacy
     params.mining_table_rows = 1 << 20;  // harness has no caps to mirror
     auto service = make_prediction_service(params);
-    auto link = service->register_link("fuzz");
+    auto link = service->register_link();
 
     const std::size_t cap = std::max<std::size_t>(params.order + 1,
                                                   params.lookahead_range);
@@ -77,7 +78,7 @@ TEST(LegacyEquality, SyncGraphMatchesCandidatePathPredictor) {
       Observation o;
       o.conn = conn;
       o.file = file;
-      ASSERT_TRUE(link->feed(o));
+      link->feed(o);
       legacy.feed(conn, file);
 
       // Interleave queries with training so every intermediate model
@@ -87,23 +88,11 @@ TEST(LegacyEquality, SyncGraphMatchesCandidatePathPredictor) {
         const auto len = 1 + rng.below(3);
         for (std::uint64_t j = 0; j < len; ++j)
           context.push_back(static_cast<FileId>(rng.below(kFiles)));
-        const double threshold = rng.uniform(0.0, 0.8);
-
-        const auto got = link->best(context, threshold);
-        const auto want = legacy.predict(context, threshold);
-        ASSERT_EQ(got.has_value(), want.has_value())
-            << "seed " << seed << " step " << i;
-        if (got) {
-          EXPECT_EQ(got->file, want->page) << "seed " << seed;
-          EXPECT_DOUBLE_EQ(got->confidence, want->confidence);
-        }
-
-        const auto got_all = link->associations(context, 4);
-        const auto want_all = legacy.predict_all(context, 4);
-        ASSERT_EQ(got_all.size(), want_all.size()) << "seed " << seed;
-        for (std::size_t j = 0; j < got_all.size(); ++j) {
-          EXPECT_EQ(got_all[j].file, want_all[j].page);
-          EXPECT_DOUBLE_EQ(got_all[j].confidence, want_all[j].confidence);
+        for (const std::size_t k : {1u, 3u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " step " << i << " k " << k);
+          expect_same(link->associations(context, k),
+                      legacy.predict_all(context, k));
         }
       }
     }
@@ -113,9 +102,8 @@ TEST(LegacyEquality, SyncGraphMatchesCandidatePathPredictor) {
 TEST(LegacyEquality, EmbeddedObjectsNeverTrainEitherSide) {
   PredictorParams params;
   params.algo = Algo::kPrordGraph;
-  params.threads = 0;
   auto service = make_prediction_service(params);
-  auto link = service->register_link("fuzz");
+  auto link = service->register_link();
   const std::size_t cap = std::max<std::size_t>(params.order + 1,
                                                 params.lookahead_range);
   LegacyHarness legacy(params.order, cap);
@@ -134,11 +122,10 @@ TEST(LegacyEquality, EmbeddedObjectsNeverTrainEitherSide) {
   }
   for (FileId f = 0; f < 30; ++f) {
     const std::vector<FileId> context{f};
-    const auto got = link->best(context, 0.3);
-    const auto want = legacy.predict(context, 0.3);
-    ASSERT_EQ(got.has_value(), want.has_value()) << "context " << f;
-    if (got) {
-      EXPECT_EQ(got->file, want->page);
+    for (const std::size_t k : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "context " << f << " k " << k);
+      expect_same(link->associations(context, k),
+                  legacy.predict_all(context, k));
     }
   }
 }

@@ -93,6 +93,27 @@ TEST(LivePrefetch, OffByDefaultLeavesNoTrace) {
             std::string::npos);
 }
 
+// Two shards, one shared service. Shard 0's router trains the offline
+// model on every routed main page while both shards feed and query the
+// service, so the service must learn on its own copy of that model, not
+// read the router's (TSan in CI catches a shared read). No periodic pass
+// runs within the run, so nothing but the warm start separates the two.
+TEST(LivePrefetch, TwoShardsNeverReadTheRouterModel) {
+  LiveConfig cfg = prefetch_config(predict::Algo::kPrordGraph);
+  cfg.shards = 2;
+  cfg.reuseport = false;  // shard 0 accepts and hands every other fd off
+  cfg.load_threads = 0;   // one generator thread per shard
+  cfg.predictor.mine_interval_us = 3'600'000'000;  // longer than the run
+  const LiveRunResult r = scale::run_live_sharded(cfg);
+  ASSERT_TRUE(r.started);
+  EXPECT_TRUE(r.conserved());
+  ASSERT_EQ(r.shards.size(), 2u);
+  for (const auto& s : r.shards) EXPECT_GT(s.requests, 0u);
+  EXPECT_GT(r.prefetch_issued, 0u);
+  EXPECT_EQ(r.predictor.mine_passes, 0u);
+  EXPECT_EQ(r.prefetch_hits + r.prefetch_wasted, r.prefetch_issued);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, LivePrefetchTest,
                          ::testing::Values(predict::Algo::kPrordGraph,
                                            predict::Algo::kMithril),

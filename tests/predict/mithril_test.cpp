@@ -41,14 +41,13 @@ TEST(MithrilMiner, PromotesPairAboveMinSupport) {
   miner.observe(obs(0, 1));
   miner.observe(obs(0, 2));
   EXPECT_EQ(miner.mine(), 0u);
-  EXPECT_EQ(miner.snapshot()->find(1), nullptr);
+  EXPECT_EQ(miner.find(1), nullptr);
 
   // Second sighting on another connection crosses the band.
   miner.observe(obs(1, 1));
   miner.observe(obs(1, 2));
   EXPECT_GT(miner.mine(), 0u);
-  const auto snap = miner.snapshot();
-  const auto* row = snap->find(1);
+  const auto* row = miner.find(1);
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->front().file, 2u);
   EXPECT_GT(row->front().confidence, 0.0);
@@ -66,13 +65,12 @@ TEST(MithrilMiner, LookaheadWindowBoundsPairing) {
     miner.observe(obs(conn, 5));
   }
   miner.mine();
-  const auto snap = miner.snapshot();
-  const auto* row = snap->find(9);
+  const auto* row = miner.find(9);
   if (row != nullptr) {
     for (const auto& assoc : *row) EXPECT_NE(assoc.file, 5u);
   }
   // 4 -> 5 is adjacent: always mined.
-  const auto* adjacent = snap->find(4);
+  const auto* adjacent = miner.find(4);
   ASSERT_NE(adjacent, nullptr);
   EXPECT_EQ(adjacent->front().file, 5u);
 }
@@ -94,8 +92,7 @@ TEST(MithrilMiner, ConfidenceRanksAssociations) {
     ++conn;
   }
   miner.mine();
-  const auto snap = miner.snapshot();
-  const auto* row = snap->find(7);
+  const auto* row = miner.find(7);
   ASSERT_NE(row, nullptr);
   ASSERT_GE(row->size(), 2u);
   EXPECT_EQ((*row)[0].file, 8u);
@@ -149,40 +146,19 @@ TEST(MithrilMiner, EvictionIsDeterministic) {
     EXPECT_EQ(a.prefetch_rows(), b.prefetch_rows());
     EXPECT_EQ(a.pair_drops(), b.pair_drops());
 
-    const auto snap_a = a.snapshot();
-    const auto snap_b = b.snapshot();
-    ASSERT_EQ(snap_a->table.size(), snap_b->table.size());
-    for (const auto& [source, row_a] : snap_a->table) {
-      const auto* row_b = snap_b->find(source);
-      ASSERT_NE(row_b, nullptr) << "source " << source << " seed " << seed;
-      ASSERT_EQ(row_a.size(), row_b->size());
-      for (std::size_t i = 0; i < row_a.size(); ++i) {
-        EXPECT_EQ(row_a[i].file, (*row_b)[i].file);
-        EXPECT_DOUBLE_EQ(row_a[i].confidence, (*row_b)[i].confidence);
+    for (FileId source = 0; source < 128; ++source) {
+      const auto* row_a = a.find(source);
+      const auto* row_b = b.find(source);
+      ASSERT_EQ(row_a == nullptr, row_b == nullptr)
+          << "source " << source << " seed " << seed;
+      if (row_a == nullptr) continue;
+      ASSERT_EQ(row_a->size(), row_b->size());
+      for (std::size_t i = 0; i < row_a->size(); ++i) {
+        EXPECT_EQ((*row_a)[i].file, (*row_b)[i].file);
+        EXPECT_DOUBLE_EQ((*row_a)[i].confidence, (*row_b)[i].confidence);
       }
     }
   }
-}
-
-TEST(MithrilMiner, SnapshotIsImmutable) {
-  MithrilMiner miner(small_params());
-  for (std::uint32_t conn = 0; conn < 4; ++conn) {
-    miner.observe(obs(conn, 1));
-    miner.observe(obs(conn, 2));
-  }
-  miner.mine();
-  const auto before = miner.snapshot();
-  ASSERT_NE(before->find(1), nullptr);
-  const auto pinned = before->find(1)->front();
-
-  // Keep mining a different association; the old snapshot must not move.
-  for (std::uint32_t conn = 10; conn < 30; ++conn) {
-    miner.observe(obs(conn, 1));
-    miner.observe(obs(conn, 3));
-  }
-  miner.mine();
-  EXPECT_EQ(before->find(1)->front().file, pinned.file);
-  EXPECT_DOUBLE_EQ(before->find(1)->front().confidence, pinned.confidence);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// PredictionService unit tests: sync-mode determinism, threaded
-// publication, bounded feed queues (drop, never block), link lifecycle,
-// and warm-start seeding (docs/PREDICTOR.md).
+// PredictionService unit tests: in-place feeds, the feed-clock pass
+// cadence, link lifecycle, and warm-start seeding (docs/PREDICTOR.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,110 +14,113 @@ namespace {
 
 using trace::FileId;
 
-Observation obs(std::uint32_t conn, FileId file, bool main_page = true) {
+Observation obs(std::uint32_t conn, FileId file, bool main_page = true,
+                std::int64_t t_us = 0) {
   Observation o;
   o.conn = conn;
   o.file = file;
   o.main_page = main_page;
+  o.t_us = t_us;
   return o;
 }
 
-PredictorParams sync_graph_params() {
+PredictorParams graph_params() {
   PredictorParams p;
   p.algo = Algo::kPrordGraph;
-  p.threads = 0;
   return p;
 }
 
 TEST(PredictionService, SyncGraphFeedIsImmediatelyVisible) {
-  auto service = make_prediction_service(sync_graph_params());
-  auto link = service->register_link("test");
+  auto service = make_prediction_service(graph_params());
+  auto link = service->register_link();
 
   // Walk 1 -> 2 -> 3 on one connection, repeatedly: the graph learns the
-  // chain and best({1}) must answer without any mine pass.
+  // chain and associations({1}) must answer without any periodic pass.
   for (int round = 0; round < 8; ++round)
-    for (FileId f : {FileId{1}, FileId{2}, FileId{3}})
-      ASSERT_TRUE(link->feed(obs(7, f)));
+    for (FileId f : {FileId{1}, FileId{2}, FileId{3}}) link->feed(obs(7, f));
 
   const std::vector<FileId> context{1};
-  const auto best = link->best(context, 0.4);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->file, 2u);
-  EXPECT_GT(best->confidence, 0.4);
-
   const auto all = link->associations(context, 4);
   ASSERT_FALSE(all.empty());
   EXPECT_EQ(all.front().file, 2u);
+  EXPECT_GT(all.front().confidence, 0.4);
+  EXPECT_EQ(service->stats().mine_passes, 0u);
 }
 
 TEST(PredictionService, SyncFeedSkipsEmbeddedObjects) {
-  auto service = make_prediction_service(sync_graph_params());
-  auto link = service->register_link("test");
+  auto service = make_prediction_service(graph_params());
+  auto link = service->register_link();
   for (int round = 0; round < 8; ++round) {
-    ASSERT_TRUE(link->feed(obs(1, 10)));
-    ASSERT_TRUE(link->feed(obs(1, 99, /*main_page=*/false)));  // ignored
-    ASSERT_TRUE(link->feed(obs(1, 11)));
+    link->feed(obs(1, 10));
+    link->feed(obs(1, 99, /*main_page=*/false));  // ignored
+    link->feed(obs(1, 11));
   }
   const std::vector<FileId> context{10};
-  const auto best = link->best(context, 0.4);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->file, 11u);  // 99 never entered the graph
+  const auto all = link->associations(context, 4);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all.front().file, 11u);  // 99 never entered the graph
 }
 
-TEST(PredictionService, ThreadedGraphPublishesOnMineNow) {
-  PredictorParams p;
-  p.algo = Algo::kPrordGraph;
-  p.threads = 1;  // queued mode, but we drive passes by hand via mine_now
-  auto service = make_prediction_service(p);
-  auto link = service->register_link("test");
-
-  for (int round = 0; round < 8; ++round)
-    for (FileId f : {FileId{1}, FileId{2}})
-      ASSERT_TRUE(link->feed(obs(3, f)));
-
-  // Nothing published yet: feeds are queued, not applied.
-  const std::vector<FileId> context{1};
-  EXPECT_FALSE(link->best(context, 0.4).has_value());
-
-  service->mine_now();
-  const auto best = link->best(context, 0.4);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->file, 2u);
-
-  const auto stats = service->stats();
-  EXPECT_EQ(stats.feeds, 16u);
-  EXPECT_EQ(stats.drops, 0u);
-  EXPECT_GE(stats.mine_passes, 1u);
-  EXPECT_GE(stats.publishes, 1u);
-}
-
-TEST(PredictionService, FullQueueDropsAndCounts) {
+TEST(PredictionService, MinePassRunsWhenFeedClockCrossesInterval) {
   PredictorParams p;
   p.algo = Algo::kMithril;
-  p.threads = 1;
-  p.feed_queue_capacity = 4;
-  auto service = make_prediction_service(p);  // never started: queue fills
-  auto link = service->register_link("test");
+  p.min_support = 2;
+  p.mine_interval_us = 1'000;
+  auto service = make_prediction_service(p);
+  auto link = service->register_link();
+  const std::vector<FileId> context{20};
 
-  int accepted = 0, dropped = 0;
-  for (std::uint32_t i = 0; i < 10; ++i)
-    (link->feed(obs(1, i)) ? accepted : dropped)++;
+  // Banded pair 20 -> 21, fed before the first boundary: counted, but not
+  // promoted, because no pass has run.
+  for (std::uint32_t conn = 0; conn < 6; ++conn) {
+    link->feed(obs(conn, 20, true, 100 * conn));
+    link->feed(obs(conn, 21, true, 100 * conn + 50));
+  }
+  EXPECT_EQ(service->stats().mine_passes, 0u);
+  EXPECT_TRUE(link->associations(context, 4).empty());
 
-  EXPECT_EQ(accepted, 4);
-  EXPECT_EQ(dropped, 6);
+  // The first feed at t_us >= 1000 runs exactly one pass, which promotes.
+  link->feed(obs(99, 5, true, 1'000));
+  EXPECT_EQ(service->stats().mine_passes, 1u);
+  const auto all = link->associations(context, 4);
+  ASSERT_FALSE(all.empty());
+  EXPECT_EQ(all.front().file, 21u);
+
+  // More feeds inside the same interval run no pass; a jump across several
+  // intervals runs one, and the next boundary follows the jump.
+  link->feed(obs(99, 6, true, 1'999));
+  EXPECT_EQ(service->stats().mine_passes, 1u);
+  link->feed(obs(99, 7, true, 5'500));
+  EXPECT_EQ(service->stats().mine_passes, 2u);
+  link->feed(obs(99, 8, true, 5'999));
+  EXPECT_EQ(service->stats().mine_passes, 2u);
+  link->feed(obs(99, 9, true, 6'000));
+  EXPECT_EQ(service->stats().mine_passes, 3u);
+  EXPECT_EQ(service->stats().feeds, 17u);
+}
+
+TEST(PredictionService, StartStopAreNoOps) {
+  PredictorParams p;
+  p.algo = Algo::kMithril;
+  p.mine_interval_us = 1'000;
+  auto service = make_prediction_service(p);
+  auto link = service->register_link();
+  service->start();
+  for (std::uint32_t i = 0; i < 100; ++i) link->feed(obs(1, i % 5, true, i));
+  service->stop();
+  // Feeding after stop() still applies: there is nothing to stop.
+  link->feed(obs(1, 0, true, 100));
   const auto stats = service->stats();
-  EXPECT_EQ(stats.feeds, 4u);
-  EXPECT_EQ(stats.drops, 6u);
+  EXPECT_EQ(stats.feeds, 101u);
+  EXPECT_EQ(stats.mine_passes, 0u);
 }
 
 TEST(PredictionService, DroppedLinkUnregisters) {
-  auto service = make_prediction_service(sync_graph_params());
-  auto a = service->register_link("a");
-  auto b = service->register_link("b");
+  auto service = make_prediction_service(graph_params());
+  auto a = service->register_link();
+  auto b = service->register_link();
   EXPECT_EQ(service->stats().links, 2u);
   a.reset();
-  EXPECT_EQ(service->stats().links, 1u);
-  service->mine_now();  // prunes the expired weak_ptr
   EXPECT_EQ(service->stats().links, 1u);
   b.reset();
   EXPECT_EQ(service->stats().links, 0u);
@@ -143,55 +145,42 @@ TEST(PredictionService, WarmStartSeedsGraphBackend) {
   config.predictor_order = 2;
   auto model = std::make_shared<logmining::MiningModel>(
       std::span<const trace::Request>(history), config);
+  const std::size_t entries_before = model->predictor().num_entries();
 
-  PredictorParams p;
-  p.algo = Algo::kPrordGraph;
-  p.threads = 1;
-  auto service = make_prediction_service(p, model);
-  auto link = service->register_link("test");
+  auto service = make_prediction_service(graph_params(), model);
+  auto link = service->register_link();
 
-  // The warm-start state must answer before any feed or mine pass.
+  // The warm-start state must answer before any feed.
   const std::vector<FileId> context{5};
-  const auto best = link->best(context, 0.4);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->file, 6u);
+  const auto all = link->associations(context, 1);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all.front().file, 6u);
+
+  // The service learns on its own copy: the caller's model never moves.
+  for (int round = 0; round < 8; ++round)
+    for (FileId f : {FileId{40}, FileId{41}}) link->feed(obs(3, f));
+  EXPECT_EQ(model->predictor().num_entries(), entries_before);
 }
 
 TEST(PredictionService, MithrilSyncLearnsAssociations) {
   PredictorParams p;
   p.algo = Algo::kMithril;
-  p.threads = 0;
   p.min_support = 2;
   auto service = make_prediction_service(p);
-  auto link = service->register_link("test");
+  auto link = service->register_link();
 
   for (std::uint32_t conn = 0; conn < 6; ++conn) {
-    ASSERT_TRUE(link->feed(obs(conn, 20)));
-    ASSERT_TRUE(link->feed(obs(conn, 21)));
+    link->feed(obs(conn, 20));
+    link->feed(obs(conn, 21));
   }
-  service->mine_now();  // Mithril always needs a mine pass to promote
+  // Mithril needs a periodic pass to promote: feed across the boundary.
+  link->feed(obs(99, 1, true, p.mine_interval_us));
 
   const std::vector<FileId> context{20};
-  const auto best = link->best(context, 0.4);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->file, 21u);
-}
-
-TEST(PredictionService, StartStopIdempotent) {
-  PredictorParams p;
-  p.algo = Algo::kMithril;
-  p.threads = 1;
-  p.mine_interval_us = 1'000;
-  auto service = make_prediction_service(p);
-  service->start();
-  service->start();  // no-op
-  auto link = service->register_link("test");
-  for (std::uint32_t i = 0; i < 100; ++i) link->feed(obs(1, i % 5));
-  service->stop();
-  service->stop();  // no-op
-  // The final drain applied everything that was queued.
-  const auto stats = service->stats();
-  EXPECT_EQ(stats.feeds + stats.drops, 100u);
+  const auto all = link->associations(context, 1);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all.front().file, 21u);
+  EXPECT_GT(all.front().confidence, 0.4);
 }
 
 TEST(PredictionService, AlgoNames) {
