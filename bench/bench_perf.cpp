@@ -298,6 +298,16 @@ net::LiveConfig live_prefetch_on_config() {
 // live_scale_rps_{n}x_vs_1 ratio divides by; it is the single-distributor
 // number, since one live assembly serves every shard count.
 constexpr std::uint32_t kScaleShards[] = {1, 2, 4};
+
+// Gate: whole-process heap allocations per completed request in the
+// untraced loopback burst (client, front end and workers together). The
+// live path allocates nothing per request in steady state beyond worker
+// misses, out-of-order reorder entries and deque blocks; these vary a
+// little with timing. Four runs on gcc 12 read 3.76-3.80, and the
+// ceiling adds 25% to absorb timing and toolchain drift (docs/PERF.md).
+// Re-formatting relayed responses, or owning parsed header strings
+// again, adds two or more per request and trips it.
+constexpr double kLiveBurstMaxAllocsPerRequest = 4.75;
 // Gate: kScaleGateShards shards must serve >= kScaleGateRatio x the
 // 1-shard req/s. It skips itself on hosts with fewer cores than
 // kScaleGateShards: a 4-shard front end cannot beat 1 shard on fewer
@@ -421,6 +431,13 @@ int main(int argc, char** argv) {
                  "(%.3fx)\n",
                  traced.requests_per_sec, untraced.requests_per_sec,
                  trace_ratio);
+    const bool burst_over =
+        untraced.allocations_per_event > kLiveBurstMaxAllocsPerRequest;
+    std::fprintf(stderr,
+                 "[bench_perf] live_loopback_burst: %.2f allocs/request "
+                 "(ceiling %.2f)%s\n",
+                 untraced.allocations_per_event,
+                 kLiveBurstMaxAllocsPerRequest, burst_over ? " OVER" : "");
     live_report.scenarios.push_back(std::move(untraced));
     live_report.scenarios.push_back(std::move(traced));
     live_report.speedups.push_back(
@@ -495,6 +512,12 @@ int main(int argc, char** argv) {
                    "(gate %.1f%%)\n",
                    100.0 * (1.0 - trace_ratio),
                    100.0 * opts.max_trace_overhead);
+      live_failed = true;
+    }
+    if (burst_over) {
+      std::fprintf(stderr,
+                   "[bench_perf] FAIL: the live burst allocates above its "
+                   "ceiling; the relay path has regressed\n");
       live_failed = true;
     }
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());

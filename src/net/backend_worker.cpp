@@ -15,8 +15,6 @@
 namespace prord::net {
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 std::int64_t steady_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -27,7 +25,10 @@ std::int64_t steady_us() {
 
 BackendWorker::BackendWorker(std::uint32_t id, const SiteStore& site,
                              std::uint64_t cache_capacity)
-    : id_(id), site_(site), capacity_(cache_capacity) {}
+    : id_(id),
+      backend_line_("X-Backend: " + std::to_string(id) + "\r\n"),
+      site_(site),
+      capacity_(cache_capacity) {}
 
 BackendWorker::~BackendWorker() { stop(); }
 
@@ -144,11 +145,12 @@ void BackendWorker::run() {
       if (ev.events & (EPOLLHUP | EPOLLERR)) dead = true;
       if (!dead && (ev.events & EPOLLIN)) {
         handle_readable(conn);
-        dead = conn.parser.failed() && conn.out_off >= conn.out.size();
+        dead = conn.scanner.failed() && conn.out.empty();
       }
-      if (!dead && (ev.events & (EPOLLIN | EPOLLOUT))) dead = !flush(conn);
-      if (!dead && conn.closing && conn.out_off >= conn.out.size())
-        dead = true;
+      if (!dead && (ev.events & (EPOLLIN | EPOLLOUT)))
+        dead = !flush_watching(loop_, conn.fd.get(), conn.key, conn.out,
+                               conn.want_write);
+      if (!dead && conn.closing && conn.out.empty()) dead = true;
       if (dead) {
         loop_.del(conn.fd.get());
         conns_.erase(it);
@@ -158,57 +160,60 @@ void BackendWorker::run() {
 }
 
 void BackendWorker::handle_readable(Conn& conn) {
-  char buf[kReadChunk];
-  while (true) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!conn.parser.consume(std::string_view(buf,
-                                                static_cast<std::size_t>(n))))
-        conn.closing = true;
-      while (auto req = conn.parser.pop()) serve_request(conn, *req);
-      continue;
-    }
-    if (n == 0) {  // orderly shutdown from the peer
+  // Every reply of the batch queues on conn.out; run() flushes it once.
+  while (!conn.closing) {
+    const ReadStatus status = conn.scanner.read_from(conn.fd.get());
+    while (auto req = conn.scanner.next()) serve_request(conn, *req);
+    conn.scanner.consume();
+    if (conn.scanner.failed() || status == ReadStatus::kClosed)
       conn.closing = true;
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    conn.closing = true;
-    return;
+    // Level-triggered epoll: a short read drained the socket, and any
+    // later bytes re-report it.
+    if (status != ReadStatus::kMore) return;
   }
 }
 
-void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
+void BackendWorker::reply(Conn& conn, int status, std::string_view reason,
+                          std::string_view cache, std::string_view body,
+                          std::shared_ptr<const std::string> shared,
+                          std::string_view traced_extra) {
+  conn.out.write([&](std::string& out) {
+    append_response_start(out, status, reason, body.size());
+    out.append(backend_line_);
+    if (!cache.empty()) out.append("X-Cache: ").append(cache).append("\r\n");
+    out.append(traced_extra).append("\r\n");
+    if (!shared) out.append(body);
+  });
+  if (shared) conn.out.append_shared(std::move(shared));
+}
+
+void BackendWorker::serve_request(Conn& conn, const RequestView& req) {
+  if (!req.keep_alive) conn.closing = true;
   // Cache-warming request class (docs/PREDICTOR.md): load the payload
   // into the LRU but send only a tiny ack back — the point is residency,
   // not bytes on the loopback — and keep every client-facing counter
   // untouched.
-  if (req.header("X-Prord-Prefetch") != nullptr) {
+  if (req.header("X-Prord-Prefetch")) {
     stats_.prefetch_requests.fetch_add(1, std::memory_order_relaxed);
-    std::string extra = "X-Backend: " + std::to_string(id_) + "\r\n";
     const trace::FileId file = site_.lookup(req.target);
     if (file == trace::kInvalidFile || site_.is_dynamic(file)) {
-      conn.out += format_response(204, "No Content", "", extra);
-      if (!req.keep_alive) conn.closing = true;
+      reply(conn, 204, "No Content", {}, {});
       return;
     }
+    std::string_view cache = "HIT";
     if (cache_get(file)) {
       stats_.prefetch_resident.fetch_add(1, std::memory_order_relaxed);
-      extra += "X-Cache: HIT\r\n";
     } else {
       cache_put(file, std::make_shared<const std::string>(
                           site_.make_payload(file)));
       stats_.prefetch_loads.fetch_add(1, std::memory_order_relaxed);
-      extra += "X-Cache: MISS\r\n";
+      cache = "MISS";
     }
-    conn.out += format_response(200, "OK", "warmed\n", extra);
-    if (!req.keep_alive) conn.closing = true;
+    reply(conn, 200, "OK", cache, "warmed\n");
     return;
   }
 
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  std::string extra = "X-Backend: " + std::to_string(id_) + "\r\n";
 
   // Traced request (docs/OBSERVABILITY.md "Live tracing"): measure the
   // cache section and the total handling time, and echo both back —
@@ -216,34 +221,37 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
   // measured round trip into queue-wait vs back-end work. The trace
   // header itself is echoed with the hop sequence bumped (0 = distributor
   // origin, 1 = this worker). Untraced requests pay one header lookup.
-  const std::string* trace_hdr = req.header(obs::kTraceHeader);
-  const bool traced = trace_hdr != nullptr;
+  const std::optional<std::string_view> trace_hdr =
+      req.header(obs::kTraceHeader);
+  const bool traced = trace_hdr.has_value();
   const std::int64_t t_start = traced ? steady_us() : 0;
   std::int64_t cache_us = 0;
 
   const auto finish = [&](int status, std::string_view reason,
-                          std::string_view body) {
-    if (traced) {
-      auto context = obs::parse_trace_header(*trace_hdr);
-      if (context) {
-        context->hop += 1;
-        extra += "X-Prord-Trace: ";
-        extra += obs::format_trace_header(*context);
-        extra += "\r\n";
-      }
-      const std::int64_t serve_us =
-          std::max<std::int64_t>(steady_us() - t_start, cache_us);
-      extra += "X-Prord-Serve-Us: " + std::to_string(serve_us) + "\r\n";
-      extra += "X-Prord-Cache-Us: " + std::to_string(cache_us) + "\r\n";
+                          std::string_view cache, std::string_view body,
+                          std::shared_ptr<const std::string> shared) {
+    if (!traced) {
+      reply(conn, status, reason, cache, body, std::move(shared));
+      return;
     }
-    conn.out += format_response(status, reason, body, extra);
-    if (!req.keep_alive) conn.closing = true;
+    std::string extra;
+    if (auto context = obs::parse_trace_header(*trace_hdr)) {
+      context->hop += 1;
+      extra += "X-Prord-Trace: ";
+      extra += obs::format_trace_header(*context);
+      extra += "\r\n";
+    }
+    const std::int64_t serve_us =
+        std::max<std::int64_t>(steady_us() - t_start, cache_us);
+    extra += "X-Prord-Serve-Us: " + std::to_string(serve_us) + "\r\n";
+    extra += "X-Prord-Cache-Us: " + std::to_string(cache_us) + "\r\n";
+    reply(conn, status, reason, cache, body, std::move(shared), extra);
   };
 
   const trace::FileId file = site_.lookup(req.target);
   if (file == trace::kInvalidFile) {
     stats_.not_found.fetch_add(1, std::memory_order_relaxed);
-    finish(404, "Not Found", "missing\n");
+    finish(404, "Not Found", {}, "missing\n", nullptr);
     return;
   }
 
@@ -252,57 +260,26 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
     stats_.dynamic_served.fetch_add(1, std::memory_order_relaxed);
     const std::string body = site_.make_payload(file);
     stats_.bytes_out.fetch_add(body.size(), std::memory_order_relaxed);
-    extra += "X-Cache: DYN\r\n";
-    finish(200, "OK", body);
+    finish(200, "OK", "DYN", body, nullptr);
     return;
   }
 
   const std::int64_t t_cache = traced ? steady_us() : 0;
   std::shared_ptr<const std::string> payload = cache_get(file);
+  std::string_view cache = "HIT";
   if (payload) {
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    extra += "X-Cache: HIT\r\n";
   } else {
     stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
     payload =
         std::make_shared<const std::string>(site_.make_payload(file));
     cache_put(file, payload);
-    extra += "X-Cache: MISS\r\n";
+    cache = "MISS";
   }
   if (traced) cache_us = steady_us() - t_cache;
   stats_.bytes_out.fetch_add(payload->size(), std::memory_order_relaxed);
-  finish(200, "OK", *payload);
-}
-
-bool BackendWorker::flush(Conn& conn) {
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n =
-        ::send(conn.fd.get(), conn.out.data() + conn.out_off,
-               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Kernel buffer full: watch for writability until drained.
-      if (!conn.want_write) {
-        conn.want_write = true;
-        loop_.mod(conn.fd.get(), EPOLLIN | EPOLLOUT, conn.key);
-      }
-      return true;
-    }
-    if (errno == EINTR) continue;
-    return false;
-  }
-  if (conn.out_off == conn.out.size() && conn.out_off > 0) {
-    conn.out.clear();
-    conn.out_off = 0;
-  }
-  if (conn.want_write) {
-    conn.want_write = false;
-    loop_.mod(conn.fd.get(), EPOLLIN, conn.key);
-  }
-  return true;
+  const std::string_view body = *payload;
+  finish(200, "OK", cache, body, std::move(payload));
 }
 
 }  // namespace prord::net

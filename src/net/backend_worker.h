@@ -79,22 +79,28 @@ class BackendWorker {
   struct Conn {
     Fd fd;
     std::uint64_t key = 0;  ///< epoll registration key
-    RequestParser parser;
-    std::string out;
-    std::size_t out_off = 0;
+    RequestScanner scanner;
+    OutQueue out;             ///< replies, flushed with vectored sendmsg
     bool closing = false;     ///< flush out, then close
     bool want_write = false;  ///< EPOLLOUT currently armed
   };
 
   void run();
   void handle_readable(Conn& conn);
-  bool flush(Conn& conn);  ///< false when the connection must die
-  void serve_request(Conn& conn, const HttpRequest& req);
+  void serve_request(Conn& conn, const RequestView& req);
+  /// Queues one reply: the head written in place, then the body (by
+  /// reference when `shared` holds it). Traced replies append their
+  /// X-Prord-* echo lines from `traced_extra`.
+  void reply(Conn& conn, int status, std::string_view reason,
+             std::string_view cache, std::string_view body,
+             std::shared_ptr<const std::string> shared = nullptr,
+             std::string_view traced_extra = {});
   std::shared_ptr<const std::string> cache_get(trace::FileId file);
   void cache_put(trace::FileId file,
                  std::shared_ptr<const std::string> payload);
 
   const std::uint32_t id_;
+  const std::string backend_line_;  ///< "X-Backend: <id>\r\n"
   const SiteStore& site_;
   const std::uint64_t capacity_;
 

@@ -14,7 +14,6 @@
 namespace prord::net {
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::uint64_t kListenKey = 0;
 
 /// Accepted connections per listen-readable event before yielding back to
@@ -35,23 +34,13 @@ constexpr std::string_view kMetricsContentType =
 constexpr std::string_view kJsonContentType =
     "Content-Type: application/json\r\n";
 
-std::string relay_headers(const HttpResponse& resp) {
-  // Forward the worker's diagnostic headers; everything else (framing,
-  // connection management) is re-written by the distributor.
-  std::string extra;
-  for (const auto& [k, v] : resp.headers)
-    if (k.starts_with("X-")) extra += k + ": " + v + "\r\n";
-  return extra;
-}
-
 /// Non-negative integer header value; `fallback` when absent/malformed.
-std::int64_t header_i64(const HttpResponse& resp, std::string_view name,
+std::int64_t header_i64(const ResponseView& resp, std::string_view name,
                         std::int64_t fallback) {
-  const std::string* v = resp.header(name);
-  if (v == nullptr) return fallback;
+  const std::optional<std::string_view> v = resp.header(name);
+  if (!v) return fallback;
   std::int64_t out = 0;
-  const auto [p, ec] =
-      std::from_chars(v->data(), v->data() + v->size(), out);
+  const auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
   if (ec != std::errc{} || p != v->data() + v->size() || out < 0)
     return fallback;
   return out;
@@ -100,6 +89,7 @@ bool Distributor::start() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Upstream up;
     up.worker = static_cast<std::uint32_t>(i);
+    up.host = "backend" + std::to_string(i);
     up.fd = connect_loopback(workers_[i]->port());
     if (!up.fd || !set_nonblocking(up.fd.get())) return false;
     if (!loop_.add(up.fd.get(), EPOLLIN, 1 + i)) return false;
@@ -180,25 +170,61 @@ void Distributor::run() {
           continue;
         }
         if (ev.events & EPOLLIN) handle_upstream_readable(up);
-        if (up.fd.valid() && (ev.events & EPOLLOUT) && !flush_upstream(up))
-          fail_upstream(up);
+        if (up.fd.valid() && (ev.events & EPOLLOUT)) mark_dirty(up);
         continue;
       }
       auto it = clients_.find(key);
       if (it == clients_.end()) continue;
+      if (ev.events & (EPOLLHUP | EPOLLERR)) {
+        drop_client(key);
+        continue;
+      }
       ClientConn& conn = it->second;
-      bool dead = (ev.events & (EPOLLHUP | EPOLLERR)) != 0;
-      if (!dead && (ev.events & EPOLLIN)) handle_client_readable(conn);
-      if (!dead && (ev.events & (EPOLLIN | EPOLLOUT)))
-        dead = !flush_client(conn);
-      if (!dead && conn.parser.failed() && conn.out.empty()) dead = true;
-      // A closing connection lingers until every routed request answered
-      // and flushed (otherwise closed-loop clients would hang).
-      if (!dead && conn.closing && conn.done.empty() &&
-          conn.next_flush == conn.next_seq && conn.out.empty())
-        dead = true;
-      if (dead) drop_client(key);
+      if (ev.events & EPOLLIN) handle_client_readable(conn);
+      mark_dirty(conn);
     }
+    end_pass();
+  }
+}
+
+void Distributor::end_pass() {
+  while (!dirty_upstreams_.empty() || !dirty_clients_.empty()) {
+    // One sendmsg per upstream carries every request routed to it this
+    // pass; the whole batch shares its kernel-handoff stamp.
+    for (const std::uint32_t worker : dirty_upstreams_) {
+      Upstream& up = upstreams_[worker];
+      up.dirty = false;
+      if (!up.fd.valid()) continue;
+      if (!flush_watching(loop_, up.fd.get(), 1 + up.worker, up.out,
+                          up.want_write)) {
+        fail_upstream(up);
+        continue;
+      }
+      const std::int64_t t_sent = elapsed_us();
+      for (auto p = up.pending.rbegin();
+           p != up.pending.rend() && p->t_sent_us == 0; ++p)
+        p->t_sent_us = t_sent;
+    }
+    dirty_upstreams_.clear();
+    // Prediction feeds and proactive prefetch ride *after* the demand
+    // batch is on the wire: the demand path never waits on the predictor.
+    // Their prefetch GETs go out in a second flush of this pass.
+    if (!feeds_.empty()) {
+      for (const Feed& feed : feeds_) predict_and_prefetch(feed);
+      feeds_.clear();
+      continue;
+    }
+    // Clients last: one sendmsg each for every response relayed this pass.
+    // A resumed reader may route new requests, so the loop goes round
+    // until nothing is dirty.
+    settling_.swap(dirty_clients_);
+    for (const std::uint64_t key : settling_) {
+      auto it = clients_.find(key);
+      if (it == clients_.end()) continue;
+      it->second.dirty = false;
+      settle_client(it->second);
+    }
+    settling_.clear();
   }
 }
 
@@ -272,34 +298,51 @@ void Distributor::drain_adopted() {
   for (Fd& fd : batch) register_client(std::move(fd));
 }
 
+bool Distributor::backlogged(const ClientConn& conn) {
+  return conn.next_seq - conn.next_flush >= kMaxPipelineDepth ||
+         conn.out.size() >= kMaxQueuedResponseBytes;
+}
+
 void Distributor::handle_client_readable(ClientConn& conn) {
   // Live-span arrival stamp: every request parsed out of this burst became
   // readable no later than now.
   conn.read_enter_us = elapsed_us();
-  char buf[kReadChunk];
+  bool drained = false;
   while (true) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!conn.parser.consume(
-              std::string_view(buf, static_cast<std::size_t>(n)))) {
-        counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-        conn.closing = true;
-      }
-      while (auto req = conn.parser.pop()) handle_request(conn, *req);
-      continue;
+    // Requests already buffered go first (they are all there is when a
+    // paused connection resumes).
+    while (!conn.closing && !backlogged(conn)) {
+      const std::optional<RequestView> req = conn.scanner.next();
+      if (!req) break;
+      handle_request(conn, *req);
     }
-    if (n == 0) {
+    conn.scanner.consume();
+    if (conn.scanner.failed() && !conn.closing) {
+      counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
       conn.closing = true;
+    }
+    if (conn.closing) return;
+    if (backlogged(conn)) {
+      // Stop reading until the client drains its responses: a client that
+      // pipelines without reading must not grow the front end's memory.
+      conn.paused = true;
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    conn.closing = true;
-    return;
+    if (drained) return;
+    switch (conn.scanner.read_from(conn.fd.get())) {
+      case ReadStatus::kClosed:
+        conn.closing = true;
+        return;
+      case ReadStatus::kDrained:
+        drained = true;  // handle what arrived, then stop
+        break;
+      case ReadStatus::kMore:
+        break;
+    }
   }
 }
 
-void Distributor::handle_request(ClientConn& conn, const HttpRequest& req) {
+void Distributor::handle_request(ClientConn& conn, const RequestView& req) {
   const std::uint64_t seq = conn.next_seq++;
   if (!req.keep_alive) conn.closing = true;
 
@@ -348,25 +391,27 @@ void Distributor::handle_request(ClientConn& conn, const HttpRequest& req) {
     local_reply(conn, seq, 503, "Service Unavailable", "no backend\n");
     return;
   }
-  Upstream& up = upstreams_[routed.decision.server];
+  const std::uint32_t server = routed.decision.server;
+  Upstream& up = upstreams_[server];
   if (!up.fd.valid()) {
     // Routed to a worker whose upstream link already died: undo the
     // connection stickiness and answer 502.
-    router_.core().unstick(r.conn, routed.decision.server);
+    router_.core().unstick(r.conn, server);
     counters_.failures.fetch_add(1, std::memory_order_relaxed);
     slo_record(now_us, 0, /*success=*/false);
     local_reply(conn, seq, 502, "Bad Gateway", "backend down\n");
     return;
   }
-  obs::flight_record(obs::FlightEventType::kRouteDecision,
-                     routed.decision.server, file, req_index);
+  obs::flight_record(obs::FlightEventType::kRouteDecision, server, file,
+                     req_index);
 
   Pending p;
   p.client_key = conn.key;
   p.seq = seq;
   p.request = r;
   p.t_in_us = now_us;
-  std::string extra_headers;
+  p.t_routed_us = now_us;
+  std::string trace_line;  ///< X-Prord-Trace header, traced requests only
   if (trace_sampler_.enabled() && trace_sampler_.sampled(req_index)) {
     auto span = std::make_unique<obs::LiveSpan>();
     span->id = obs::derive_trace_id(obs_.trace_seed, req_index);
@@ -375,68 +420,51 @@ void Distributor::handle_request(ClientConn& conn, const HttpRequest& req) {
     span->conn = conn.conn_id;
     span->file = file;
     span->bytes = r.bytes;
-    span->server = routed.decision.server;
+    span->server = server;
     span->via = routed.decision.via;
     span->arrival = conn.read_enter_us;
     // Hop 0 originates here; the worker echoes its own timing back in
     // X-Prord-Serve-Us / X-Prord-Cache-Us response headers.
-    extra_headers.append("X-Prord-Trace: ")
-        .append(obs::format_trace_header({span->id, 0}))
-        .append("\r\n");
-    const std::int64_t t_routed = elapsed_us();
-    p.t_routed_us = t_routed;
+    trace_line.append(obs::kTraceHeader).append(": ");
+    trace_line.append(obs::format_trace_header({span->id, 0})).append("\r\n");
+    p.t_routed_us = elapsed_us();
     span->hop_us[static_cast<unsigned>(obs::LiveHop::kParse)] =
         std::max<std::int64_t>(0, now_us - span->arrival);
     span->hop_us[static_cast<unsigned>(obs::LiveHop::kRoute)] =
-        t_routed - now_us;
+        p.t_routed_us - now_us;
     p.trace = std::move(span);
-  } else {
-    p.t_routed_us = now_us;
   }
 
   up.pending.push_back(std::move(p));
-  up.out.push(format_request(req.target,
-                             "backend" + std::to_string(up.worker),
-                             extra_headers));
-  router_.on_forwarded(r, routed.decision.server);
-  const bool ok = flush_upstream(up);
-  // Stamp the kernel-handoff time on the request just queued (it is the
-  // deque's back unless fail_upstream already swept the deque).
-  if (!up.pending.empty() && up.pending.back().seq == seq &&
-      up.pending.back().client_key == conn.key)
-    up.pending.back().t_sent_us = elapsed_us();
-  if (!ok) {
-    fail_upstream(up);
-    return;
-  }
-  // Prediction feed + proactive prefetch ride *after* the client request
-  // is on the wire: the demand path never waits on the predictor.
-  predict_and_prefetch(conn, r, routed.decision.server, req_index, now_us);
+  up.out.write([&](std::string& out) {
+    append_request(out, req.target, up.host, trace_line);
+  });
+  router_.on_forwarded(r, server);
+  mark_dirty(up);
+  if (predict_link_ && !r.is_dynamic)
+    feeds_.push_back({conn.key, r, server, req_index});
 }
 
-void Distributor::predict_and_prefetch(ClientConn& conn,
-                                       const trace::Request& r,
-                                       std::uint32_t server,
-                                       std::uint64_t req_index,
-                                       std::int64_t now_us) {
-  if (!predict_link_ || r.is_dynamic) return;
+void Distributor::predict_and_prefetch(const Feed& feed) {
+  const trace::Request& r = feed.request;
   predict::Observation obs;
-  obs.conn = conn.conn_id;
+  obs.conn = r.conn;
   obs.file = r.file;
   obs.main_page = !r.is_embedded;
-  obs.t_us = now_us;
+  obs.t_us = r.at;
   predict_link_->feed(obs);
   if (r.is_embedded) return;
+  auto it = clients_.find(feed.client_key);
+  if (it == clients_.end()) return;  // client left within the pass
 
-  conn.history.push_back(r.file);
-  if (conn.history.size() > kPredictHistory)
-    conn.history.erase(conn.history.begin());
+  std::vector<trace::FileId>& history = it->second.history;
+  history.push_back(r.file);
+  if (history.size() > kPredictHistory) history.erase(history.begin());
 
-  const auto assocs =
-      predict_link_->associations(conn.history, prefetch_fanout_);
+  const auto assocs = predict_link_->associations(history, prefetch_fanout_);
   for (const predict::Association& a : assocs) {
     if (a.confidence < prefetch_min_confidence_) continue;
-    issue_prefetch(server, a.file, req_index, now_us);
+    issue_prefetch(feed.server, a.file, feed.req_index, r.at);
   }
 }
 
@@ -460,67 +488,94 @@ void Distributor::issue_prefetch(std::uint32_t server, trace::FileId file,
   p.t_in_us = now_us;
   p.t_routed_us = now_us;
   up.pending.push_back(std::move(p));
-  up.out.push(format_request(site_.url(file),
-                             "backend" + std::to_string(up.worker),
-                             kPrefetchHeader));
+  up.out.write([&](std::string& out) {
+    append_request(out, site_.url(file), up.host, kPrefetchHeader);
+  });
+  mark_dirty(up);
   counters_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
   prefetch_inflight_.emplace(file, server);
   obs::flight_record(obs::FlightEventType::kPrefetchIssue, server, file,
                      req_index);
-  if (!flush_upstream(up)) fail_upstream(up);
 }
 
 void Distributor::local_reply(ClientConn& conn, std::uint64_t seq, int status,
                               std::string_view reason, std::string_view body,
                               std::string_view extra_headers) {
-  DoneEntry entry;
-  entry.bytes = format_response(status, reason, body, extra_headers);
-  entry.t_done_us = elapsed_us();
-  finish_response(conn, seq, std::move(entry));
+  deliver(conn, seq, format_response(status, reason, body, extra_headers),
+          elapsed_us(), nullptr);
 }
 
-void Distributor::finish_response(ClientConn& conn, std::uint64_t seq,
-                                  DoneEntry entry) {
-  conn.done.emplace(seq, std::move(entry));
-  pump_client(conn);
-}
-
-void Distributor::pump_client(ClientConn& conn) {
-  while (!conn.done.empty() &&
-         conn.done.begin()->first == conn.next_flush) {
-    DoneEntry& entry = conn.done.begin()->second;
-    conn.out.push(std::move(entry.bytes));
-    if (entry.trace) {
-      // Last hop: how long the response sat behind earlier sequence
-      // numbers. completion - arrival now equals the hop sum exactly.
-      const std::int64_t t_out = elapsed_us();
-      entry.trace->hop_us[static_cast<unsigned>(obs::LiveHop::kReorderHold)] =
-          std::max<std::int64_t>(0, t_out - entry.t_done_us);
-      entry.trace->completion =
-          entry.trace->arrival + entry.trace->hop_sum();
-      complete_span(std::move(entry.trace));
-    }
-    conn.done.erase(conn.done.begin());
-    ++conn.next_flush;
+void Distributor::deliver(ClientConn& conn, std::uint64_t seq,
+                          std::string_view bytes, std::int64_t t_done_us,
+                          std::unique_ptr<obs::LiveSpan> trace) {
+  mark_dirty(conn);
+  if (seq != conn.next_flush) {
+    DoneEntry& entry = conn.done[seq];
+    entry.bytes.assign(bytes);
+    entry.t_done_us = t_done_us;
+    entry.trace = std::move(trace);
+    return;
   }
-  flush_client(conn);
+  emit(conn, bytes, t_done_us, std::move(trace));
+  while (!conn.done.empty() && conn.done.begin()->first == conn.next_flush) {
+    auto node = conn.done.extract(conn.done.begin());
+    DoneEntry& entry = node.mapped();
+    emit(conn, entry.bytes, entry.t_done_us, std::move(entry.trace));
+  }
 }
 
-bool Distributor::flush_client(ClientConn& conn) {
-  // One vectored sendmsg flushes every queued response (up to the iovec
-  // cap) — a pipelined burst costs one syscall, not one per response.
-  if (!conn.out.flush(conn.fd.get()))
-    return false;  // peer is gone; EPOLLHUP will reap the connection
-  if (!conn.out.empty()) {
-    if (!conn.want_write) {
-      conn.want_write = true;
-      loop_.mod(conn.fd.get(), EPOLLIN | EPOLLOUT, conn.key);
-    }
-  } else if (conn.want_write) {
-    conn.want_write = false;
-    loop_.mod(conn.fd.get(), EPOLLIN, conn.key);
+void Distributor::emit(ClientConn& conn, std::string_view bytes,
+                       std::int64_t t_done_us,
+                       std::unique_ptr<obs::LiveSpan> trace) {
+  conn.out.append(bytes);
+  ++conn.next_flush;
+  if (!trace) return;
+  // Last hop: how long the response sat behind earlier sequence numbers.
+  // completion - arrival now equals the hop sum exactly.
+  trace->hop_us[static_cast<unsigned>(obs::LiveHop::kReorderHold)] =
+      std::max<std::int64_t>(0, elapsed_us() - t_done_us);
+  trace->completion = trace->arrival + trace->hop_sum();
+  complete_span(std::move(trace));
+}
+
+void Distributor::mark_dirty(ClientConn& conn) {
+  if (conn.dirty) return;
+  conn.dirty = true;
+  dirty_clients_.push_back(conn.key);
+}
+
+void Distributor::mark_dirty(Upstream& up) {
+  if (up.dirty) return;
+  up.dirty = true;
+  dirty_upstreams_.push_back(up.worker);
+}
+
+void Distributor::settle_client(ClientConn& conn) {
+  if (!conn.out.flush(conn.fd.get())) {
+    drop_client(conn.key);  // the peer is gone
+    return;
   }
-  return true;
+  if (conn.paused && !backlogged(conn)) {
+    // Drained below the depth bound: handle what is buffered and read
+    // again. Settle once more after the new requests' upstream flush.
+    conn.paused = false;
+    handle_client_readable(conn);
+    mark_dirty(conn);
+    return;
+  }
+  // A closing connection lingers until every routed request answered and
+  // flushed (otherwise closed-loop clients would hang).
+  if (conn.closing && conn.done.empty() && conn.next_flush == conn.next_seq &&
+      conn.out.empty()) {
+    drop_client(conn.key);
+    return;
+  }
+  const std::uint32_t want = (conn.closing || conn.paused ? 0u : EPOLLIN) |
+                             (conn.out.empty() ? 0u : EPOLLOUT);
+  if (want != conn.armed) {
+    conn.armed = want;
+    loop_.mod(conn.fd.get(), want, conn.key);
+  }
 }
 
 void Distributor::drop_client(std::uint64_t key) {
@@ -532,108 +587,78 @@ void Distributor::drop_client(std::uint64_t key) {
 }
 
 void Distributor::handle_upstream_readable(Upstream& up) {
-  char buf[kReadChunk];
-  while (true) {
-    const ssize_t n = ::recv(up.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!up.parser.consume(
-              std::string_view(buf, static_cast<std::size_t>(n)))) {
-        fail_upstream(up);
+  while (up.fd.valid()) {
+    const ReadStatus status = up.scanner.read_from(up.fd.get());
+    const std::int64_t t_resp = elapsed_us();
+    while (const std::optional<ResponseView> resp = up.scanner.next()) {
+      if (up.pending.empty()) {
+        fail_upstream(up);  // response with no matching request
         return;
       }
-      while (auto resp = up.parser.pop()) {
-        if (up.pending.empty()) {
-          fail_upstream(up);  // response with no matching request
-          return;
-        }
-        Pending p = std::move(up.pending.front());
-        up.pending.pop_front();
-        const std::int64_t t_resp = elapsed_us();
-        if (p.prefetch) {
-          // Cache-warming ack: the file is resident upstream now. Nothing
-          // client-facing moves — not the router belief, not the response
-          // counter, not the SLO windows.
-          counters_.prefetch_responses.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          if (prefetch_inflight_.erase(p.request.file) > 0 &&
-              resp->status == 200)
-            prefetch_ready_.insert(p.request.file);
-          continue;
-        }
-        router_.advance_to(t_resp);
-        router_.on_response(p.request, up.worker);
-        counters_.responses.fetch_add(1, std::memory_order_relaxed);
-        slo_record(t_resp, t_resp - p.t_in_us, resp->status < 500);
-        // Prefetch-hit attribution: a client request answered from cache
-        // on a file this distributor warmed counts once, then re-arms.
-        if (!prefetch_ready_.empty()) {
-          const std::string* cache = resp->header("X-Cache");
-          if (cache != nullptr && *cache == "HIT" &&
-              prefetch_ready_.erase(p.request.file) > 0)
-            counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        auto cit = clients_.find(p.client_key);
-        if (cit == clients_.end()) continue;  // client left mid-flight
-        DoneEntry entry;
-        entry.bytes = format_response(resp->status, resp->reason, resp->body,
-                                      relay_headers(*resp));
-        entry.t_done_us = elapsed_us();
-        if (p.trace) {
-          // Split distributor-measured wire+queue time from the worker's
-          // self-reported handling time. The three segments are clamped
-          // to partition [t_sent, t_resp] so the hops keep telescoping
-          // even if the worker's clock reads slightly long.
-          obs::LiveSpan& span = *p.trace;
-          const std::int64_t t_sent =
-              p.t_sent_us > 0 ? p.t_sent_us : p.t_routed_us;
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kUpstreamSend)] =
-              std::max<std::int64_t>(0, t_sent - p.t_routed_us);
-          const std::int64_t round_trip =
-              std::max<std::int64_t>(0, t_resp - t_sent);
-          const std::int64_t serve_us = std::min(
-              header_i64(*resp, obs::kServeUsHeader, 0), round_trip);
-          const std::int64_t cache_us =
-              std::min(header_i64(*resp, obs::kCacheUsHeader, 0), serve_us);
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kUpstreamWait)] =
-              round_trip - serve_us;
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kBackendCache)] =
-              cache_us;
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kBackendServe)] =
-              serve_us - cache_us;
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kRelay)] =
-              std::max<std::int64_t>(0, entry.t_done_us - t_resp);
-          span.status = resp->status;
-          const std::string* cache = resp->header("X-Cache");
-          span.cache_resident = cache != nullptr && *cache == "HIT";
-          entry.trace = std::move(p.trace);
-        }
-        finish_response(cit->second, p.seq, std::move(entry));
-      }
-      continue;
+      relay_response(up, *resp, t_resp);
     }
-    if (n == 0) {
+    up.scanner.consume();
+    if (up.scanner.failed() || status == ReadStatus::kClosed) {
       fail_upstream(up);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    fail_upstream(up);
-    return;
+    if (status == ReadStatus::kDrained) return;
   }
 }
 
-bool Distributor::flush_upstream(Upstream& up) {
-  if (!up.out.flush(up.fd.get())) return false;
-  if (!up.out.empty()) {
-    if (!up.want_write) {
-      up.want_write = true;
-      loop_.mod(up.fd.get(), EPOLLIN | EPOLLOUT, 1 + up.worker);
-    }
-  } else if (up.want_write) {
-    up.want_write = false;
-    loop_.mod(up.fd.get(), EPOLLIN, 1 + up.worker);
+void Distributor::relay_response(Upstream& up, const ResponseView& resp,
+                                 std::int64_t t_resp) {
+  Pending p = std::move(up.pending.front());
+  up.pending.pop_front();
+  if (p.prefetch) {
+    // Cache-warming ack: the file is resident upstream now. Nothing
+    // client-facing moves — not the router belief, not the response
+    // counter, not the SLO windows.
+    counters_.prefetch_responses.fetch_add(1, std::memory_order_relaxed);
+    if (prefetch_inflight_.erase(p.request.file) > 0 && resp.status == 200)
+      prefetch_ready_.insert(p.request.file);
+    return;
   }
-  return true;
+  router_.advance_to(t_resp);
+  router_.on_response(p.request, up.worker);
+  counters_.responses.fetch_add(1, std::memory_order_relaxed);
+  slo_record(t_resp, t_resp - p.t_in_us, resp.status < 500);
+  // Prefetch-hit attribution: a client request answered from cache on a
+  // file this distributor warmed counts once, then re-arms.
+  if (!prefetch_ready_.empty() && resp.header("X-Cache") == "HIT" &&
+      prefetch_ready_.erase(p.request.file) > 0)
+    counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+  auto cit = clients_.find(p.client_key);
+  if (cit == clients_.end()) return;  // client left mid-flight
+  std::int64_t t_done_us = 0;
+  if (p.trace) {
+    // Split distributor-measured wire+queue time from the worker's
+    // self-reported handling time. The three segments are clamped to
+    // partition [t_sent, t_resp] so the hops keep telescoping even if
+    // the worker's clock reads slightly long.
+    t_done_us = elapsed_us();
+    obs::LiveSpan& span = *p.trace;
+    const std::int64_t t_sent = p.t_sent_us > 0 ? p.t_sent_us : p.t_routed_us;
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kUpstreamSend)] =
+        std::max<std::int64_t>(0, t_sent - p.t_routed_us);
+    const std::int64_t round_trip = std::max<std::int64_t>(0, t_resp - t_sent);
+    const std::int64_t serve_us =
+        std::min(header_i64(resp, obs::kServeUsHeader, 0), round_trip);
+    const std::int64_t cache_us =
+        std::min(header_i64(resp, obs::kCacheUsHeader, 0), serve_us);
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kUpstreamWait)] =
+        round_trip - serve_us;
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kBackendCache)] = cache_us;
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kBackendServe)] =
+        serve_us - cache_us;
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kRelay)] =
+        std::max<std::int64_t>(0, t_done_us - t_resp);
+    span.status = resp.status;
+    span.cache_resident = resp.header("X-Cache") == "HIT";
+  }
+  // Verbatim relay: the worker's own bytes are already the response the
+  // client gets (status line, Content-Length, X- headers, body).
+  deliver(cit->second, p.seq, resp.raw, t_done_us, std::move(p.trace));
 }
 
 void Distributor::fail_upstream(Upstream& up) {

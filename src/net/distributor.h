@@ -10,9 +10,13 @@
 // LiveRouter's belief model — the same policy objects and decision-commit
 // path the simulator runs) and forwarded to the chosen BackendWorker over
 // that worker's one persistent upstream connection. Responses relay back
-// on the client connection in request order (per-connection reordering
-// buffer, since consecutive requests of one client may hit different
-// workers).
+// verbatim on the client connection in request order (per-connection
+// reordering buffer, since consecutive requests of one client may hit
+// different workers). Each event-loop pass only queues bytes, then
+// flushes every dirty upstream once, runs the predictor for the requests
+// it forwarded, and flushes every dirty client once; a client that
+// pipelines too far ahead of its reads is paused (docs/LIVE_CLUSTER.md
+// "The request path").
 //
 // The distributor also serves GET /metrics itself (Prometheus text
 // snapshot assembled by a caller-provided closure, wired by
@@ -128,6 +132,13 @@ struct DistributorShardOptions {
 
 class Distributor {
  public:
+  /// Per-connection backpressure: a client connection is neither read nor
+  /// parsed while this many of its requests are unanswered...
+  static constexpr std::uint64_t kMaxPipelineDepth = 64;
+  /// ...or while this many response bytes wait to be sent to it. Reading
+  /// resumes, buffered requests first, once it drains below both.
+  static constexpr std::size_t kMaxQueuedResponseBytes = 256 * 1024;
+
   /// `router`, `site`, and the workers are borrowed and must outlive the
   /// distributor.
   Distributor(LiveRouter& router, const SiteStore& site,
@@ -195,10 +206,11 @@ class Distributor {
   }
 
  private:
-  /// A finished response parked in the reorder buffer.
+  /// A finished response parked in the reorder buffer until every earlier
+  /// sequence number has been relayed.
   struct DoneEntry {
     std::string bytes;
-    std::int64_t t_done_us = 0;  ///< when the response bytes were built
+    std::int64_t t_done_us = 0;  ///< when the response bytes were ready
     std::unique_ptr<obs::LiveSpan> trace;  ///< null unless sampled
   };
 
@@ -206,14 +218,16 @@ class Distributor {
     Fd fd;
     std::uint64_t key = 0;
     std::uint32_t conn_id = 0;  ///< RoutingCore connection id
-    RequestParser parser;
+    RequestScanner scanner;
     OutQueue out;  ///< responses, flushed with vectored sendmsg
     bool closing = false;
-    bool want_write = false;
+    bool dirty = false;   ///< queued in dirty_clients_ this pass
+    bool paused = false;  ///< reading stopped by the depth bound
+    std::uint32_t armed = EPOLLIN;  ///< epoll interest currently set
     /// When the current readable burst started (live-span arrival stamp).
     std::int64_t read_enter_us = 0;
     // In-order response relay: requests get ascending sequence numbers;
-    // finished responses wait in `done` until every earlier one flushed.
+    // a response that arrives before an earlier one waits in `done`.
     std::uint64_t next_seq = 0;
     std::uint64_t next_flush = 0;
     std::map<std::uint64_t, DoneEntry> done;
@@ -229,7 +243,7 @@ class Distributor {
     trace::Request request;
     std::int64_t t_in_us = 0;      ///< parsed (SLO latency starts here)
     std::int64_t t_routed_us = 0;  ///< routing decision committed
-    std::int64_t t_sent_us = 0;    ///< forwarded bytes handed to the kernel
+    std::int64_t t_sent_us = 0;    ///< its batch's sendmsg returned
     std::unique_ptr<obs::LiveSpan> trace;  ///< null unless sampled
     /// Distributor-generated cache-warming request: its response is
     /// swallowed here and it is excluded from every client-facing account
@@ -240,38 +254,63 @@ class Distributor {
   struct Upstream {
     Fd fd;
     std::uint32_t worker = 0;
-    ResponseParser parser;
-    OutQueue out;  ///< forwarded requests, flushed with vectored sendmsg
+    std::string host;  ///< "backend<N>", the forwarded Host header
+    ResponseScanner scanner;
+    OutQueue out;  ///< forwarded requests, flushed once per loop pass
     bool want_write = false;
+    bool dirty = false;  ///< queued in dirty_upstreams_ this pass
     std::deque<Pending> pending;
   };
 
+  /// A routed request whose predictor feed waits for its batch's flush.
+  struct Feed {
+    std::uint64_t client_key = 0;
+    trace::Request request;
+    std::uint32_t server = 0;
+    std::uint64_t req_index = 0;
+  };
+
   void run();
+  /// Ends a loop pass: flushes every dirty upstream once, then runs the
+  /// pass's predictor feeds and prefetches, then settles dirty clients.
+  void end_pass();
   void accept_clients();
   /// Registers an accepted/adopted client fd with the event loop.
   void register_client(Fd fd);
   /// Moves handoff-inbox fds onto the event loop (shard thread only).
   void drain_adopted();
+  /// Handles the buffered requests, then reads until the socket drains,
+  /// the connection closes, or the depth bound pauses it.
   void handle_client_readable(ClientConn& conn);
-  void handle_request(ClientConn& conn, const HttpRequest& req);
+  void handle_request(ClientConn& conn, const RequestView& req);
   void local_reply(ClientConn& conn, std::uint64_t seq, int status,
                    std::string_view reason, std::string_view body,
                    std::string_view extra_headers = {});
-  void finish_response(ClientConn& conn, std::uint64_t seq, DoneEntry entry);
-  void pump_client(ClientConn& conn);
-  bool flush_client(ClientConn& conn);
+  /// Relays response `seq`: straight onto the client's queue when it is
+  /// next in order, else parked in `done` until it is.
+  void deliver(ClientConn& conn, std::uint64_t seq, std::string_view bytes,
+               std::int64_t t_done_us, std::unique_ptr<obs::LiveSpan> trace);
+  /// Queues `bytes` on the client and completes the span, if any.
+  void emit(ClientConn& conn, std::string_view bytes, std::int64_t t_done_us,
+            std::unique_ptr<obs::LiveSpan> trace);
+  void mark_dirty(ClientConn& conn);
+  void mark_dirty(Upstream& up);
+  /// End-of-pass client work: flush, resume a paused reader, re-arm epoll,
+  /// and reap a finished closing connection.
+  void settle_client(ClientConn& conn);
+  /// True while the connection may not take more requests: too many
+  /// unanswered, or too many response bytes waiting on the client.
+  static bool backlogged(const ClientConn& conn);
   void drop_client(std::uint64_t key);
 
   void handle_upstream_readable(Upstream& up);
-  bool flush_upstream(Upstream& up);
+  void relay_response(Upstream& up, const ResponseView& resp,
+                      std::int64_t t_resp);
   void fail_upstream(Upstream& up);
 
-  /// Feeds the routed request to the predictor link and, for main pages,
-  /// issues prefetch GETs for the confident associations. No-op unless
-  /// set_predictor() armed the seam.
-  void predict_and_prefetch(ClientConn& conn, const trace::Request& r,
-                            std::uint32_t server, std::uint64_t req_index,
-                            std::int64_t now_us);
+  /// Feeds a routed request to the predictor link and, for main pages,
+  /// issues prefetch GETs for the confident associations.
+  void predict_and_prefetch(const Feed& feed);
   void issue_prefetch(std::uint32_t server, trace::FileId file,
                       std::uint64_t req_index, std::int64_t now_us);
 
@@ -297,6 +336,12 @@ class Distributor {
 
   std::vector<Upstream> upstreams_;  ///< index = worker/back-end id
   std::unordered_map<std::uint64_t, ClientConn> clients_;
+  // Sockets with bytes queued this pass, flushed once at its end, and the
+  // routed requests whose predictor feeds run after the upstream flush.
+  std::vector<std::uint32_t> dirty_upstreams_;
+  std::vector<std::uint64_t> dirty_clients_;
+  std::vector<std::uint64_t> settling_;  ///< dirty_clients_ being settled
+  std::vector<Feed> feeds_;
   std::uint64_t next_client_key_;
   std::uint32_t next_conn_id_ = 1;
 

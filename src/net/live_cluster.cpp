@@ -31,15 +31,12 @@ std::string http_get(std::uint16_t port, std::string_view target) {
     }
     off += static_cast<std::size_t>(n);
   }
-  ResponseParser parser;
-  char buf[64 * 1024];
+  ResponseScanner scanner;
   while (true) {
-    const ssize_t r = ::recv(fd.get(), buf, sizeof(buf), 0);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) return {};
-    if (!parser.consume(std::string_view(buf, static_cast<std::size_t>(r))))
-      return {};
-    if (auto resp = parser.pop()) return std::move(resp->body);
+    const ReadStatus status = scanner.read_from(fd.get());
+    if (const std::optional<ResponseView> resp = scanner.next())
+      return std::string(resp->body);
+    if (scanner.failed() || status == ReadStatus::kClosed) return {};
   }
 }
 

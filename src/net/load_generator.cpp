@@ -10,8 +10,6 @@
 namespace prord::net {
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 std::int64_t now_us_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - t0)
@@ -46,7 +44,9 @@ bool LoadGenerator::send_next(Channel& ch, std::int64_t now_us) {
   const std::size_t idx = ch.plan[ch.cursor % ch.plan.size()];
   ++ch.cursor;
   const trace::Request& req = workload_.requests[idx];
-  ch.out += format_request(workload_.files.url(req.file));
+  ch.out.write([&](std::string& out) {
+    append_request(out, workload_.files.url(req.file));
+  });
   ch.sent_at_us.push_back(now_us);
   ++ch.issued;
   ++result_.issued;
@@ -58,7 +58,6 @@ void LoadGenerator::fail_inflight(Channel& ch) {
   result_.failed += ch.sent_at_us.size();
   ch.sent_at_us.clear();
   ch.out.clear();
-  ch.out_off = 0;
 }
 
 bool LoadGenerator::reconnect(Channel& ch, std::size_t idx) {
@@ -66,38 +65,13 @@ bool LoadGenerator::reconnect(Channel& ch, std::size_t idx) {
   ch.fd = connect_loopback(options_.port);
   if (!ch.fd) return false;
   set_nonblocking(ch.fd.get());
-  ch.parser = ResponseParser{};
+  ch.scanner = ResponseScanner{};
   ch.want_write = false;
   return loop_.add(ch.fd.get(), EPOLLIN, idx);
 }
 
 bool LoadGenerator::flush(Channel& ch, std::size_t idx) {
-  while (ch.out_off < ch.out.size()) {
-    const ssize_t n = ::send(ch.fd.get(), ch.out.data() + ch.out_off,
-                             ch.out.size() - ch.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      ch.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!ch.want_write) {
-        ch.want_write = true;
-        loop_.mod(ch.fd.get(), EPOLLIN | EPOLLOUT, idx);
-      }
-      return true;
-    }
-    if (errno == EINTR) continue;
-    return false;
-  }
-  if (ch.out_off == ch.out.size() && ch.out_off > 0) {
-    ch.out.clear();
-    ch.out_off = 0;
-  }
-  if (ch.want_write) {
-    ch.want_write = false;
-    loop_.mod(ch.fd.get(), EPOLLIN, idx);
-  }
-  return true;
+  return flush_watching(loop_, ch.fd.get(), idx, ch.out, ch.want_write);
 }
 
 LoadGenResult LoadGenerator::run() {
@@ -173,46 +147,29 @@ LoadGenResult LoadGenerator::run() {
       Channel& ch = channels_[i];
       if (!ch.fd.valid()) continue;
       bool broken = (ev.events & (EPOLLHUP | EPOLLERR)) != 0;
-      if (!broken && (ev.events & EPOLLIN)) {
-        char buf[kReadChunk];
-        while (true) {
-          const ssize_t r = ::recv(ch.fd.get(), buf, sizeof(buf), 0);
-          if (r > 0) {
-            if (!ch.parser.consume(
-                    std::string_view(buf, static_cast<std::size_t>(r)))) {
-              broken = true;
-              break;
-            }
-            const std::int64_t rx = now_us_since(t0);
-            while (auto resp = ch.parser.pop()) {
-              ++result_.completed;
-              result_.bytes_in += resp->body.size();
-              if (resp->status >= 200 && resp->status < 300)
-                ++result_.status_ok;
-              else
-                ++result_.status_error;
-              if (!ch.sent_at_us.empty()) {
-                const double lat =
-                    static_cast<double>(rx - ch.sent_at_us.front());
-                ch.sent_at_us.pop_front();
-                result_.latency_us.add(lat);
-                result_.latency_hist.record(
-                    static_cast<std::uint64_t>(lat < 0 ? 0 : lat));
-              }
-              last_progress = rx;
-              if (!options_.open_loop) send_next(ch, rx);
-            }
-            continue;
+      while (!broken && (ev.events & EPOLLIN)) {
+        const ReadStatus status = ch.scanner.read_from(ch.fd.get());
+        const std::int64_t rx = now_us_since(t0);
+        while (const std::optional<ResponseView> resp = ch.scanner.next()) {
+          ++result_.completed;
+          result_.bytes_in += resp->body.size();
+          if (resp->status >= 200 && resp->status < 300)
+            ++result_.status_ok;
+          else
+            ++result_.status_error;
+          if (!ch.sent_at_us.empty()) {
+            const double lat = static_cast<double>(rx - ch.sent_at_us.front());
+            ch.sent_at_us.pop_front();
+            result_.latency_us.add(lat);
+            result_.latency_hist.record(
+                static_cast<std::uint64_t>(lat < 0 ? 0 : lat));
           }
-          if (r == 0) {
-            broken = true;
-            break;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          if (errno == EINTR) continue;
-          broken = true;
-          break;
+          last_progress = rx;
+          if (!options_.open_loop) send_next(ch, rx);
         }
+        ch.scanner.consume();
+        broken = ch.scanner.failed() || status == ReadStatus::kClosed;
+        if (status == ReadStatus::kDrained) break;
       }
       if (!broken && (ev.events & (EPOLLIN | EPOLLOUT)))
         broken = !flush(ch, i);

@@ -68,9 +68,8 @@ class LoadGenerator {
  private:
   struct Channel {
     Fd fd;
-    ResponseParser parser;
-    std::string out;
-    std::size_t out_off = 0;
+    ResponseScanner scanner;
+    OutQueue out;
     bool want_write = false;
     std::vector<std::size_t> plan;  ///< workload request indices, in order
     std::size_t cursor = 0;         ///< next plan position (wraps)

@@ -8,6 +8,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -154,14 +155,59 @@ void EpollLoop::wake() {
       ::write(wake_.get(), &one, sizeof(one));
 }
 
+OutQueue::Segment& OutQueue::push_slot() {
+  if (tail_ == slots_.size() && head_ > 0) {
+    // Rotate the live run to the front; the sent slots behind it keep
+    // their buffers, so this moves strings without allocating.
+    std::rotate(slots_.begin(),
+                slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                slots_.begin() + static_cast<std::ptrdiff_t>(tail_));
+    tail_ -= head_;
+    head_ = 0;
+  }
+  if (tail_ == slots_.size()) slots_.emplace_back();
+  return slots_[tail_++];
+}
+
+std::string& OutQueue::owned_tail() {
+  if (tail_ > head_) {
+    Segment& last = slots_[tail_ - 1];
+    if (!last.shared && last.own.size() < kSegmentBytes) return last.own;
+  }
+  return push_slot().own;
+}
+
+void OutQueue::append_shared(std::shared_ptr<const std::string> payload) {
+  if (!payload || payload->empty()) return;
+  size_ += payload->size();
+  push_slot().shared = std::move(payload);
+}
+
+void OutQueue::pop_front() {
+  Segment& seg = slots_[head_++];
+  // Keep ordinary buffers for reuse, but not one a large relay grew.
+  if (seg.own.capacity() > 4 * kSegmentBytes)
+    std::string().swap(seg.own);
+  else
+    seg.own.clear();
+  seg.shared.reset();
+  head_off_ = 0;
+  if (head_ == tail_) head_ = tail_ = 0;
+}
+
+void OutQueue::clear() {
+  while (head_ < tail_) pop_front();
+  size_ = 0;
+}
+
 bool OutQueue::flush(int fd) {
-  while (!segments_.empty()) {
+  while (size_ > 0) {
     iovec iov[kMaxIov];
     std::size_t n = 0;
     std::size_t attempted = 0;
     std::size_t off = head_off_;
-    for (const std::string& seg : segments_) {
-      if (n == kMaxIov) break;
+    for (std::size_t i = head_; i < tail_ && n < kMaxIov; ++i) {
+      const std::string_view seg = slots_[i].bytes();
       iov[n].iov_base = const_cast<char*>(seg.data() + off);
       iov[n].iov_len = seg.size() - off;
       attempted += iov[n].iov_len;
@@ -179,11 +225,10 @@ bool OutQueue::flush(int fd) {
     size_ -= static_cast<std::size_t>(sent);
     auto remaining = static_cast<std::size_t>(sent);
     while (remaining > 0) {
-      const std::size_t head_left = segments_.front().size() - head_off_;
+      const std::size_t head_left = slots_[head_].bytes().size() - head_off_;
       if (remaining >= head_left) {
         remaining -= head_left;
-        segments_.pop_front();
-        head_off_ = 0;
+        pop_front();
       } else {
         head_off_ += remaining;
         remaining = 0;
@@ -191,6 +236,16 @@ bool OutQueue::flush(int fd) {
     }
     // A short sendmsg means the socket buffer is full; stop until EPOLLOUT.
     if (static_cast<std::size_t>(sent) < attempted) break;
+  }
+  return true;
+}
+
+bool flush_watching(EpollLoop& loop, int fd, std::uint64_t key, OutQueue& out,
+                    bool& want_write) {
+  if (!out.flush(fd)) return false;
+  if (out.empty() == want_write) {
+    want_write = !want_write;
+    loop.mod(fd, want_write ? EPOLLIN | EPOLLOUT : EPOLLIN, key);
   }
   return true;
 }

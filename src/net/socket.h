@@ -7,10 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace prord::net {
 
@@ -109,19 +111,32 @@ class EpollLoop {
   Fd wake_;
 };
 
-/// Outbound byte queue flushed with one vectored sendmsg() per round
-/// instead of one write() per buffered string. Segments keep their
-/// identity until fully sent, so enqueueing is copy-free beyond the
-/// initial move and a flush of K queued responses costs one syscall.
+/// Outbound byte queue flushed with one vectored sendmsg() per round.
+/// Small writes land in the tail segment, so a burst of responses costs
+/// one syscall and few iovecs; a shared payload rides as its own segment
+/// without being copied. Sent segments keep their buffers for reuse, so
+/// a connection in steady state allocates nothing here.
 class OutQueue {
  public:
-  void push(std::string bytes) {
-    if (bytes.empty()) return;
-    size_ += bytes.size();
-    segments_.push_back(std::move(bytes));
+  /// Copies `bytes` onto the tail segment.
+  void append(std::string_view bytes) {
+    write([&](std::string& tail) { tail.append(bytes); });
   }
 
-  bool empty() const noexcept { return segments_.empty(); }
+  /// Lets `fill` append straight into the tail segment (no staging copy).
+  template <class Fill>
+  void write(Fill&& fill) {
+    std::string& tail = owned_tail();
+    const std::size_t before = tail.size();
+    fill(tail);
+    size_ += tail.size() - before;
+  }
+
+  /// Queues `payload` by reference: it is sent from the caller's buffer,
+  /// which the queue keeps alive until the bytes are on the socket.
+  void append_shared(std::shared_ptr<const std::string> payload);
+
+  bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
   /// Writes as much as the socket accepts (MSG_NOSIGNAL, up to kMaxIov
@@ -129,18 +144,40 @@ class OutQueue {
   /// is a successful partial flush.
   bool flush(int fd);
 
-  void clear() {
-    segments_.clear();
-    head_off_ = 0;
-    size_ = 0;
-  }
+  void clear();
 
   static constexpr std::size_t kMaxIov = 64;
+  /// Appends join the tail segment while it stays below this size.
+  static constexpr std::size_t kSegmentBytes = 64 * 1024;
 
  private:
-  std::deque<std::string> segments_;
-  std::size_t head_off_ = 0;  // bytes of segments_.front() already sent
+  struct Segment {
+    std::string own;  ///< copied bytes (unused while `shared` is set)
+    std::shared_ptr<const std::string> shared;
+    std::string_view bytes() const noexcept {
+      return shared ? std::string_view(*shared) : std::string_view(own);
+    }
+  };
+
+  /// The live tail when it holds copied bytes with room left, else a
+  /// recycled (or new) empty slot that becomes the tail.
+  std::string& owned_tail();
+  Segment& push_slot();
+  void pop_front();
+
+  // Live segments are slots_[head_, tail_); the other slots were sent and
+  // keep their capacity for reuse.
+  std::vector<Segment> slots_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::size_t head_off_ = 0;  ///< bytes of the head segment already sent
   std::size_t size_ = 0;
 };
+
+/// Flushes `out` to `fd`, then keeps EPOLLOUT armed on `loop` exactly
+/// while bytes remain (`want_write` tracks the mask; EPOLLIN stays on).
+/// False on a fatal socket error.
+bool flush_watching(EpollLoop& loop, int fd, std::uint64_t key, OutQueue& out,
+                    bool& want_write);
 
 }  // namespace prord::net

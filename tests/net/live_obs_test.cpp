@@ -6,7 +6,9 @@
 
 #include <cerrno>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -85,12 +87,24 @@ TEST(LiveObs, TraceStructureIsRunStable) {
   }
 }
 
+/// A response copied out of the scanner's buffer.
+struct OwnedResponse {
+  int status = 0;
+  bool keep_alive = true;
+  std::string headers;
+  std::string body;
+
+  std::optional<std::string_view> header(std::string_view name) const {
+    return find_header(headers, name);
+  }
+};
+
 // Sends `wire` to 127.0.0.1:`port` on one connection and reads until
 // `expected` responses have been parsed.
-std::vector<HttpResponse> pipelined_exchange(std::uint16_t port,
-                                             const std::string& wire,
-                                             std::size_t expected) {
-  std::vector<HttpResponse> responses;
+std::vector<OwnedResponse> pipelined_exchange(std::uint16_t port,
+                                              const std::string& wire,
+                                              std::size_t expected) {
+  std::vector<OwnedResponse> responses;
   Fd fd = connect_loopback(port);
   if (!fd.valid()) return responses;
   std::size_t off = 0;
@@ -103,15 +117,15 @@ std::vector<HttpResponse> pipelined_exchange(std::uint16_t port,
     }
     off += static_cast<std::size_t>(n);
   }
-  ResponseParser parser;
-  char buf[64 * 1024];
+  ResponseScanner scanner;
   while (responses.size() < expected) {
-    const ssize_t r = ::recv(fd.get(), buf, sizeof(buf), 0);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) return responses;
-    if (!parser.consume(std::string_view(buf, static_cast<std::size_t>(r))))
-      return responses;
-    while (auto resp = parser.pop()) responses.push_back(std::move(*resp));
+    const ReadStatus status = scanner.read_from(fd.get());
+    while (const auto resp = scanner.next())
+      responses.push_back({resp->status, resp->keep_alive,
+                           std::string(resp->headers),
+                           std::string(resp->body)});
+    scanner.consume();
+    if (scanner.failed() || status == ReadStatus::kClosed) return responses;
   }
   return responses;
 }
@@ -139,28 +153,28 @@ TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
   const std::string wire = format_request("/metrics") +
                            format_request("/metrics") +
                            format_request("/slo");
-  const std::vector<HttpResponse> responses =
+  const std::vector<OwnedResponse> responses =
       pipelined_exchange(fe.port(), wire, 3);
   ASSERT_EQ(responses.size(), 3u);
 
   for (int i = 0; i < 2; ++i) {
-    const HttpResponse& resp = responses[static_cast<std::size_t>(i)];
+    const OwnedResponse& resp = responses[static_cast<std::size_t>(i)];
     EXPECT_EQ(resp.status, 200) << i;
     EXPECT_TRUE(resp.keep_alive) << i;
-    const std::string* type = resp.header("Content-Type");
-    ASSERT_NE(type, nullptr) << i;
+    const auto type = resp.header("Content-Type");
+    ASSERT_TRUE(type.has_value()) << i;
     EXPECT_EQ(*type, "text/plain; version=0.0.4; charset=utf-8") << i;
-    const std::string* length = resp.header("Content-Length");
-    ASSERT_NE(length, nullptr) << i;
-    EXPECT_EQ(std::stoul(*length), resp.body.size()) << i;
+    const auto length = resp.header("Content-Length");
+    ASSERT_TRUE(length.has_value()) << i;
+    EXPECT_EQ(std::stoul(std::string(*length)), resp.body.size()) << i;
     EXPECT_NE(resp.body.find("prord_live_requests_total"), std::string::npos)
         << i;
   }
 
-  const HttpResponse& slo = responses[2];
+  const OwnedResponse& slo = responses[2];
   EXPECT_EQ(slo.status, 200);
-  const std::string* type = slo.header("Content-Type");
-  ASSERT_NE(type, nullptr);
+  const auto type = slo.header("Content-Type");
+  ASSERT_TRUE(type.has_value());
   EXPECT_EQ(*type, "application/json");
   const util::JsonValue doc = util::json_parse(slo.body);
   ASSERT_TRUE(doc.is_object());
