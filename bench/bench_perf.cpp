@@ -17,8 +17,10 @@
 // The live section (skipped by --skip-live) writes BENCH_live.json: the
 // loopback burst with tracing off and on, the prefetch A/B, and the shard
 // sweep at 1, 2 and 4 shards. It exits 1 when a live cell does not start
-// or loses a request, and when 4 shards serve less than 1.8x the 1-shard
-// req/s on a host with at least 4 cores (docs/SCALING.md).
+// or loses a request, when the burst or the miss-heavy prefetch-off cell
+// allocates above its allocs/request ceiling, and when each of 4 shards
+// does less than 0.3 of the lone shard's work on a host with at least 4
+// cores (docs/SCALING.md).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -308,12 +310,27 @@ constexpr std::uint32_t kScaleShards[] = {1, 2, 4};
 // Re-formatting relayed responses, or owning parsed header strings
 // again, adds two or more per request and trips it.
 constexpr double kLiveBurstMaxAllocsPerRequest = 4.75;
-// Gate: kScaleGateShards shards must serve >= kScaleGateRatio x the
-// 1-shard req/s. It skips itself on hosts with fewer cores than
-// kScaleGateShards: a 4-shard front end cannot beat 1 shard on fewer
-// cores, and a red run there would only measure the machine.
+// Gate: the same whole-process count in the prefetch-off cell, where 2% of
+// the site fits in the worker caches and about 0.6 of the requests miss or
+// are preloaded. Thirteen runs on gcc 12 read 10.19-10.41, of which about
+// 5.6 are the cell's set-up; a list + map worker LRU (a node allocation
+// for each of list and map per insert) reads 11.37-11.46. The ceiling is
+// about 5% above the highest reading: the 25% the burst gate allows would
+// let that LRU through (docs/PERF.md).
+constexpr double kPrefetchOffMaxAllocsPerRequest = 10.9;
+// Gate, on per-core work: each of kScaleGateShards shards (one per core)
+// must serve at least kScaleGateShareOfOne of the lone shard's req/s.
+// Shards serialized on anything shared can together do no more than one
+// shard's work, a share of at most 1 / kScaleGateShards = 0.25, so the
+// gate sits above that. It asks for no fixed speedup: on a 4-core host
+// the 1-shard cell already keeps up to two cores busy (distributor,
+// workers, client), so what 4 shards can add depends on how loaded the
+// host is (1.4x-2.8x over runs on a 4-vCPU VM, where a 1.8x gate failed
+// working code). The 4-vs-1 ratio is still reported. The gate skips itself
+// on hosts with fewer cores than kScaleGateShards, where a red run would
+// only measure the machine (docs/PERF.md).
 constexpr std::uint32_t kScaleGateShards = 4;
-constexpr double kScaleGateRatio = 1.8;
+constexpr double kScaleGateShareOfOne = 0.3;
 
 net::LiveConfig scale_config(std::uint32_t shards) {
   net::LiveConfig config;
@@ -451,6 +468,13 @@ int main(int argc, char** argv) {
                                     live_prefetch_config());
     LiveCell pf_on = run_live_cell("live_prefetch_on",
                                    live_prefetch_on_config());
+    const bool pf_off_over = pf_off.scenario.allocations_per_event >
+                             kPrefetchOffMaxAllocsPerRequest;
+    std::fprintf(stderr,
+                 "[bench_perf] live_prefetch_off: %.2f allocs/request "
+                 "(ceiling %.2f)%s\n",
+                 pf_off.scenario.allocations_per_event,
+                 kPrefetchOffMaxAllocsPerRequest, pf_off_over ? " OVER" : "");
     const double hit_off = pf_off.result.worker_hit_rate();
     const double hit_on = pf_on.result.worker_hit_rate();
     const double hit_gain = hit_off > 0 ? hit_on / hit_off : 0.0;
@@ -514,29 +538,37 @@ int main(int argc, char** argv) {
                    100.0 * opts.max_trace_overhead);
       live_failed = true;
     }
+    if (pf_off_over) {
+      std::fprintf(stderr,
+                   "[bench_perf] FAIL: live_prefetch_off allocates above its "
+                   "ceiling; the worker miss path has regressed\n");
+      live_failed = true;
+    }
     if (burst_over) {
       std::fprintf(stderr,
                    "[bench_perf] FAIL: the live burst allocates above its "
                    "ceiling; the relay path has regressed\n");
       live_failed = true;
     }
+    const double share_of_one = gate_ratio / kScaleGateShards;
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    std::fprintf(stderr,
+                 "[bench_perf] %u shards give %.2fx the 1-shard req/s: "
+                 "%.2f of the lone shard's work per shard (gate %.2f)\n",
+                 kScaleGateShards, gate_ratio, share_of_one,
+                 kScaleGateShareOfOne);
     if (cores < kScaleGateShards) {
       std::fprintf(stderr,
                    "[bench_perf] shard gate skipped: %u cores < %u shards "
-                   "(measured %.2fx, informational only)\n",
-                   cores, kScaleGateShards, gate_ratio);
-    } else if (gate_ratio < kScaleGateRatio) {
+                   "(informational only)\n",
+                   cores, kScaleGateShards);
+    } else if (share_of_one < kScaleGateShareOfOne) {
       std::fprintf(stderr,
-                   "[bench_perf] FAIL: %u shards give %.2fx req/s vs 1 "
-                   "shard (gate %.2fx)\n",
-                   kScaleGateShards, gate_ratio, kScaleGateRatio);
+                   "[bench_perf] FAIL: per-shard work below the gate; the "
+                   "shards no longer scale\n");
       live_failed = true;
     } else {
-      std::fprintf(stderr,
-                   "[bench_perf] shard gate passed: %u shards give %.2fx "
-                   "req/s vs 1 shard (gate %.2fx)\n",
-                   kScaleGateShards, gate_ratio, kScaleGateRatio);
+      std::fprintf(stderr, "[bench_perf] shard gate passed\n");
     }
   }
 

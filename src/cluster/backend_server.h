@@ -114,10 +114,6 @@ class BackendServer {
   void install_replica(trace::FileId file, std::uint32_t bytes,
                        bool pinned = true);
 
-  /// Drops a proactively pinned file (replication retraction). Demand
-  /// copies are untouched.
-  void drop_pinned(trace::FileId file) { cache_.erase_pinned(file); }
-
   /// Charges relay CPU for a response forwarded through this server
   /// (back-end forwarding mode).
   void relay(std::uint32_t bytes);

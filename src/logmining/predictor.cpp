@@ -42,7 +42,9 @@ void MarkovPredictor::count(std::span<const trace::FileId> ctx,
                             trace::FileId next) {
   auto& stats = tables_[ctx.size() - 1][context_key(ctx)];
   ++stats.total;
-  ++stats.next[next];
+  const auto [it, inserted] = stats.next.try_emplace(next, 0);
+  ++it->second;
+  entries_ += inserted;
 }
 
 void MarkovPredictor::observe(std::span<const trace::FileId> pages) {
@@ -92,13 +94,6 @@ std::vector<Prediction> MarkovPredictor::predict_all(
   return {};
 }
 
-std::size_t MarkovPredictor::num_entries() const {
-  std::size_t n = 0;
-  for (const auto& table : tables_)
-    for (const auto& [key, stats] : table) n += stats.next.size();
-  return n;
-}
-
 void MarkovPredictor::save(std::ostream& out) const {
   out << "markov " << order_ << '\n';
   for (std::size_t level = 0; level < tables_.size(); ++level) {
@@ -124,6 +119,7 @@ bool MarkovPredictor::load(std::istream& in) {
   if (!(in >> tag >> order) || tag != "markov" || order != order_)
     return false;
   std::vector<std::unordered_map<std::uint64_t, ContextStats>> tables(order_);
+  std::size_t entries = 0;
   for (unsigned level = 0; level < order_; ++level) {
     std::size_t level_idx = 0, contexts = 0;
     if (!(in >> tag >> level_idx >> contexts) || tag != "level" ||
@@ -141,11 +137,13 @@ bool MarkovPredictor::load(std::istream& in) {
         if (!(in >> page >> cnt)) return false;
         stats.next.emplace(page, cnt);
       }
+      entries += stats.next.size();
       tables[level].emplace(key, std::move(stats));
     }
   }
   if (!(in >> tag) || tag != "end") return false;
   tables_ = std::move(tables);
+  entries_ = entries;
   return true;
 }
 
@@ -163,6 +161,7 @@ void MarkovPredictor::age(double keep_fraction, std::uint64_t min_count) {
             min_count);
         if (nit->second == 0) {
           nit = stats.next.erase(nit);
+          --entries_;
         } else {
           stats.total += nit->second;
           ++nit;
@@ -182,6 +181,12 @@ DependencyGraphPredictor::DependencyGraphPredictor(unsigned lookahead_window)
     throw std::invalid_argument("DependencyGraphPredictor: window == 0");
 }
 
+void DependencyGraphPredictor::add_arc(Node& node, trace::FileId to) {
+  const auto [it, inserted] = node.arcs.try_emplace(to, 0);
+  ++it->second;
+  entries_ += inserted;
+}
+
 void DependencyGraphPredictor::observe(std::span<const trace::FileId> pages) {
   for (std::size_t i = 0; i < pages.size(); ++i) {
     Node& node = nodes_[pages[i]];
@@ -189,7 +194,7 @@ void DependencyGraphPredictor::observe(std::span<const trace::FileId> pages) {
     const std::size_t end = std::min(pages.size(), i + 1 + window_);
     for (std::size_t j = i + 1; j < end; ++j) {
       if (pages[j] == pages[i]) continue;
-      ++node.arcs[pages[j]];
+      add_arc(node, pages[j]);
     }
   }
 }
@@ -202,7 +207,7 @@ void DependencyGraphPredictor::observe_transition(
   for (std::size_t i = 0; i < n; ++i) {
     const trace::FileId from = context[context.size() - 1 - i];
     if (from == page) continue;
-    ++nodes_[from].arcs[page];
+    add_arc(nodes_[from], page);
   }
   if (!context.empty()) ++nodes_[context.back()].occurrences;
 }
@@ -233,12 +238,6 @@ std::vector<Prediction> DependencyGraphPredictor::predict_all(
   return preds;
 }
 
-std::size_t DependencyGraphPredictor::num_entries() const {
-  std::size_t n = 0;
-  for (const auto& [page, node] : nodes_) n += node.arcs.size();
-  return n;
-}
-
 void DependencyGraphPredictor::save(std::ostream& out) const {
   out << "depgraph " << window_ << ' ' << nodes_.size() << '\n';
   std::map<trace::FileId, const Node*> ordered;
@@ -260,6 +259,7 @@ bool DependencyGraphPredictor::load(std::istream& in) {
   if (!(in >> tag >> window >> n) || tag != "depgraph" || window != window_)
     return false;
   std::unordered_map<trace::FileId, Node> nodes;
+  std::size_t entries = 0;
   for (std::size_t i = 0; i < n; ++i) {
     trace::FileId page = 0;
     Node node;
@@ -271,10 +271,12 @@ bool DependencyGraphPredictor::load(std::istream& in) {
       if (!(in >> to >> cnt)) return false;
       node.arcs.emplace(to, cnt);
     }
+    entries += node.arcs.size();
     nodes.emplace(page, std::move(node));
   }
   if (!(in >> tag) || tag != "end") return false;
   nodes_ = std::move(nodes);
+  entries_ = entries;
   return true;
 }
 
@@ -293,7 +295,12 @@ void DependencyGraphPredictor::age(double keep_fraction,
           static_cast<std::uint64_t>(static_cast<double>(ait->second) *
                                      keep_fraction),
           min_count);
-      ait = ait->second == 0 ? node.arcs.erase(ait) : std::next(ait);
+      if (ait->second == 0) {
+        ait = node.arcs.erase(ait);
+        --entries_;
+      } else {
+        ++ait;
+      }
     }
     it = (node.occurrences == 0 && node.arcs.empty()) ? nodes_.erase(it)
                                                       : std::next(it);
@@ -312,7 +319,10 @@ CandidatePathPredictor::CandidatePathPredictor(unsigned order)
 void CandidatePathPredictor::add_link(trace::FileId from, trace::FileId to) {
   if (from == to) return;
   auto& out = links_[from];
-  if (std::find(out.begin(), out.end(), to) == out.end()) out.push_back(to);
+  if (std::find(out.begin(), out.end(), to) == out.end()) {
+    out.push_back(to);
+    ++link_entries_;
+  }
 }
 
 void CandidatePathPredictor::observe(std::span<const trace::FileId> pages) {
@@ -351,12 +361,6 @@ std::vector<Prediction> CandidatePathPredictor::predict_all(
   return preds;
 }
 
-std::size_t CandidatePathPredictor::num_entries() const {
-  std::size_t n = 0;
-  for (const auto& [page, out] : links_) n += out.size();
-  return n + counts_.num_entries();
-}
-
 void CandidatePathPredictor::save(std::ostream& out) const {
   out << "candidatepath " << order_ << ' ' << links_.size() << '\n';
   std::map<trace::FileId, const std::vector<trace::FileId>*> ordered;
@@ -376,6 +380,7 @@ bool CandidatePathPredictor::load(std::istream& in) {
   if (!(in >> tag >> order >> n) || tag != "candidatepath" || order != order_)
     return false;
   std::unordered_map<trace::FileId, std::vector<trace::FileId>> links;
+  std::size_t link_entries = 0;
   for (std::size_t i = 0; i < n; ++i) {
     trace::FileId from = 0;
     std::size_t outdeg = 0;
@@ -383,10 +388,12 @@ bool CandidatePathPredictor::load(std::istream& in) {
     std::vector<trace::FileId> to(outdeg);
     for (auto& t : to)
       if (!(in >> t)) return false;
+    link_entries += to.size();
     links.emplace(from, std::move(to));
   }
   if (!counts_.load(in)) return false;
   links_ = std::move(links);
+  link_entries_ = link_entries;
   return true;
 }
 

@@ -60,7 +60,8 @@ class Predictor {
       std::span<const trace::FileId> context, std::size_t k) const = 0;
 
   /// Number of stored (context -> successor) entries: the memory footprint
-  /// the paper worries about in Section 4.1.1(i).
+  /// the paper worries about in Section 4.1.1(i). O(1): each predictor
+  /// keeps a running count that every insert, aging drop and load updates.
   virtual std::size_t num_entries() const = 0;
 
   /// Serializes the trained state (text format). The offline mining pass
@@ -103,7 +104,7 @@ class MarkovPredictor final : public Predictor {
                                     double min_confidence) const override;
   std::vector<Prediction> predict_all(std::span<const trace::FileId> context,
                                       std::size_t k) const override;
-  std::size_t num_entries() const override;
+  std::size_t num_entries() const override { return entries_; }
   void save(std::ostream& out) const override;
   bool load(std::istream& in) override;
   void age(double keep_fraction, std::uint64_t min_count = 0) override;
@@ -125,6 +126,7 @@ class MarkovPredictor final : public Predictor {
   unsigned order_;
   // One table per context length (index 0 = order-1 contexts).
   std::vector<std::unordered_map<std::uint64_t, ContextStats>> tables_;
+  std::size_t entries_ = 0;  ///< sum of next.size() over every context
 };
 
 /// Padmanabhan/Mogul dependency graph with lookahead window.
@@ -139,7 +141,7 @@ class DependencyGraphPredictor final : public Predictor {
                                     double min_confidence) const override;
   std::vector<Prediction> predict_all(std::span<const trace::FileId> context,
                                       std::size_t k) const override;
-  std::size_t num_entries() const override;
+  std::size_t num_entries() const override { return entries_; }
   void save(std::ostream& out) const override;
   bool load(std::istream& in) override;
   void age(double keep_fraction, std::uint64_t min_count = 0) override;
@@ -154,8 +156,11 @@ class DependencyGraphPredictor final : public Predictor {
     std::uint64_t occurrences = 0;
     std::unordered_map<trace::FileId, std::uint64_t> arcs;
   };
+  void add_arc(Node& node, trace::FileId to);
+
   std::unordered_map<trace::FileId, Node> nodes_;
   unsigned window_;
+  std::size_t entries_ = 0;  ///< sum of arcs.size() over every node
 };
 
 /// The paper's own scheme (Algorithms 1 & 2).
@@ -177,7 +182,9 @@ class CandidatePathPredictor final : public Predictor {
                                     double min_confidence) const override;
   std::vector<Prediction> predict_all(std::span<const trace::FileId> context,
                                       std::size_t k) const override;
-  std::size_t num_entries() const override;
+  std::size_t num_entries() const override {
+    return link_entries_ + counts_.num_entries();
+  }
   void save(std::ostream& out) const override;
   bool load(std::istream& in) override;
   void age(double keep_fraction, std::uint64_t min_count = 0) override;
@@ -198,6 +205,7 @@ class CandidatePathPredictor final : public Predictor {
 
   unsigned order_;
   std::unordered_map<trace::FileId, std::vector<trace::FileId>> links_;
+  std::size_t link_entries_ = 0;  ///< sum of the link lists' sizes
   // Hit counters keyed by hashed context (suffix up to `order_`), as in
   // Algorithm 2's hit_candidate_path[sequence][page].
   MarkovPredictor counts_;

@@ -28,7 +28,8 @@ BackendWorker::BackendWorker(std::uint32_t id, const SiteStore& site,
     : id_(id),
       backend_line_("X-Backend: " + std::to_string(id) + "\r\n"),
       site_(site),
-      capacity_(cache_capacity) {}
+      capacity_(cache_capacity),
+      slots_(site.count()) {}
 
 BackendWorker::~BackendWorker() { stop(); }
 
@@ -54,12 +55,11 @@ void BackendWorker::stop() {
 
 void BackendWorker::preload(trace::FileId file, std::uint32_t bytes,
                             bool /*pinned*/) {
-  if (file == trace::kInvalidFile || file >= site_.count()) return;
+  if (file == trace::kInvalidFile || file >= slots_.size()) return;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(file);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // refresh
+    if (slots_[file].payload) {
+      lru_refresh(file);
       return;
     }
   }
@@ -71,41 +71,68 @@ void BackendWorker::preload(trace::FileId file, std::uint32_t bytes,
 
 bool BackendWorker::caches(trace::FileId file) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache_.contains(file);
+  return file < slots_.size() && slots_[file].payload != nullptr;
+}
+
+void BackendWorker::lru_unlink(trace::FileId file) {
+  Slot& slot = slots_[file];
+  if (slot.prev != trace::kInvalidFile)
+    slots_[slot.prev].next = slot.next;
+  else
+    head_ = slot.next;
+  if (slot.next != trace::kInvalidFile)
+    slots_[slot.next].prev = slot.prev;
+  else
+    tail_ = slot.prev;
+  slot.prev = slot.next = trace::kInvalidFile;
+}
+
+void BackendWorker::lru_push_front(trace::FileId file) {
+  Slot& slot = slots_[file];
+  slot.prev = trace::kInvalidFile;
+  slot.next = head_;
+  if (head_ != trace::kInvalidFile)
+    slots_[head_].prev = file;
+  else
+    tail_ = file;
+  head_ = file;
+}
+
+void BackendWorker::lru_refresh(trace::FileId file) {
+  lru_unlink(file);
+  lru_push_front(file);
 }
 
 std::shared_ptr<const std::string> BackendWorker::cache_get(
     trace::FileId file) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(file);
-  if (it == cache_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.payload;
+  if (file >= slots_.size() || !slots_[file].payload) return nullptr;
+  lru_refresh(file);
+  return slots_[file].payload;
 }
 
 void BackendWorker::cache_put(trace::FileId file,
                               std::shared_ptr<const std::string> payload) {
   const std::uint64_t bytes = payload->size();
   if (capacity_ > 0 && bytes > capacity_) return;  // streamed, never cached
+  if (file >= slots_.size()) return;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(file);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  if (slots_[file].payload) {
+    lru_refresh(file);
     return;
   }
-  while (capacity_ > 0 && cached_bytes_ + bytes > capacity_ && !lru_.empty()) {
-    const trace::FileId victim = lru_.back();
-    lru_.pop_back();
-    auto vit = cache_.find(victim);
-    if (vit != cache_.end()) {
-      cached_bytes_ -= vit->second.payload->size();
-      obs::flight_record(obs::FlightEventType::kCacheEvict, id_, victim,
-                         vit->second.payload->size());
-      cache_.erase(vit);
-    }
+  while (capacity_ > 0 && cached_bytes_ + bytes > capacity_ &&
+         tail_ != trace::kInvalidFile) {
+    const trace::FileId victim = tail_;
+    Slot& slot = slots_[victim];
+    lru_unlink(victim);
+    cached_bytes_ -= slot.payload->size();
+    obs::flight_record(obs::FlightEventType::kCacheEvict, id_, victim,
+                       slot.payload->size());
+    slot.payload.reset();
   }
-  lru_.push_front(file);
-  cache_.emplace(file, CacheEntry{std::move(payload), lru_.begin()});
+  slots_[file].payload = std::move(payload);
+  lru_push_front(file);
   cached_bytes_ += bytes;
 }
 

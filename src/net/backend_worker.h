@@ -4,7 +4,16 @@
 // ephemeral loopback port. The distributor holds one persistent upstream
 // connection per worker and forwards client requests over it; the worker
 // answers from an in-memory byte-capacity LRU of materialized payloads
-// (there is no filesystem — SiteStore::make_payload is the "disk").
+// (there is no filesystem — SiteStore::make_payload is the "disk", and it
+// fills a body with block copies, so a miss costs the payload's buffer and
+// shared_ptr control block and a memcpy-speed write).
+//
+// The LRU is one slot per FileId of the site table (fixed while the
+// cluster runs), each holding the payload and intrusive prev/next indices
+// of the recency list: an insert, a hit or an eviction relinks indices and
+// allocates or frees no node. Byte accounting, eviction order and the rule
+// that a payload larger than the capacity is never cached are those of a
+// plain list + map LRU.
 //
 // Proactive placement (PRORD prefetch directives and Algorithm 3 replica
 // pushes) arrives via preload(), called from the distributor thread when
@@ -16,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -114,14 +122,21 @@ class BackendWorker {
   std::unordered_map<std::uint64_t, Conn> conns_;
   std::uint64_t next_conn_key_ = 1;
 
-  // Byte-capacity LRU over materialized payloads.
-  mutable std::mutex cache_mu_;
-  std::list<trace::FileId> lru_;  ///< front = most recent
-  struct CacheEntry {
-    std::shared_ptr<const std::string> payload;
-    std::list<trace::FileId>::iterator lru_it;
+  // Byte-capacity LRU over materialized payloads, indexed by FileId.
+  // head_ is the most recent slot; prev points toward it, next away.
+  struct Slot {
+    std::shared_ptr<const std::string> payload;  ///< null = not resident
+    trace::FileId prev = trace::kInvalidFile;
+    trace::FileId next = trace::kInvalidFile;
   };
-  std::unordered_map<trace::FileId, CacheEntry> cache_;
+  void lru_unlink(trace::FileId file);
+  void lru_push_front(trace::FileId file);
+  void lru_refresh(trace::FileId file);  ///< resident: move to the front
+
+  mutable std::mutex cache_mu_;
+  std::vector<Slot> slots_;  ///< one per site file, sized at construction
+  trace::FileId head_ = trace::kInvalidFile;
+  trace::FileId tail_ = trace::kInvalidFile;
   std::uint64_t cached_bytes_ = 0;
 
   WorkerStats stats_;
