@@ -123,5 +123,62 @@ TEST(GoldenTables, Fig9AblationLadder) {
   check_against_golden("fig9_ablation", render_table(run_pinned(cells)));
 }
 
+// Online re-mining (src/adapt) on a drifting pinned workload. The cells
+// cover the warm-started clone with and without predictor aging (aging
+// runs age(keep, 1) on the clone), the cold retrain, mining charged to a
+// serving back-end, and drift-triggered re-mines, so any change to how a
+// re-mined model is cloned, copied, aged or published shows up here.
+TEST(GoldenTables, AdaptiveRemine) {
+  auto base = pinned_config(PolicyKind::kPrord, 0.30);
+  base.workload.gen.drift = {.phases = 4, .rotation = 0.6,
+                             .flash_multiplier = 2.0,
+                             .flash_duration_sec = 20.0};
+  base.adapt.enabled = true;
+  base.adapt.epoch = sim::sec(30.0);
+  base.adapt.window = sim::sec(60.0);
+  base.adapt.popularity_halflife_s = 120.0;
+
+  std::vector<ExperimentCell> cells;
+  cells.push_back({"warm", base});
+  auto aged = base;
+  aged.adapt.predictor_halflife_s = 40.0;
+  cells.push_back({"warm+aged", aged});
+  auto cold = base;
+  cold.adapt.warm_start = false;
+  cells.push_back({"cold", cold});
+  auto on_backend = aged;
+  on_backend.adapt.mining_backend = 1;
+  cells.push_back({"warm+aged@backend1", on_backend});
+  auto drift = aged;
+  drift.adapt.epoch = sim::sec(120.0);
+  drift.adapt.drift_threshold = 0.6;
+  drift.adapt.drift_horizon = sim::sec(60.0);
+  drift.adapt.drift_min_samples = 20;
+  cells.push_back({"warm+aged+drift", drift});
+  auto markov = drift;
+  markov.mining.predictor = logmining::PredictorKind::kMarkov;
+  cells.push_back({"markov+aged+drift", markov});
+  auto depgraph = drift;
+  depgraph.mining.predictor = logmining::PredictorKind::kDependencyGraph;
+  cells.push_back({"depgraph+aged+drift", depgraph});
+
+  const auto results = run_pinned(cells);
+  util::Table table({"cell", "throughput(req/s)", "hit-rate", "pred-hit",
+                     "prefetches", "remines", "drift-remines", "skipped"});
+  for (const auto& cell : results) {
+    const ExperimentResult& r = cell.primary();
+    table.add_row({cell.label, util::Table::num(r.throughput_rps(), 1),
+                   util::Table::num(r.hit_rate(), 4),
+                   util::Table::num(r.prediction_hit_rate(), 4),
+                   std::to_string(r.prefetches_triggered),
+                   std::to_string(r.adapt_stats.remines),
+                   std::to_string(r.adapt_stats.drift_remines),
+                   std::to_string(r.adapt_stats.skipped)});
+  }
+  std::ostringstream os;
+  table.print(os);
+  check_against_golden("adaptive_remine", os.str());
+}
+
 }  // namespace
 }  // namespace prord::core
