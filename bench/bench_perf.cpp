@@ -396,12 +396,12 @@ int main(int argc, char** argv) {
     double max_allocs_per_event;
   };
   const SimCase kSimCases[] = {
-      {"fig8_memory_sweep", fig8_config, 0.8754},
-      {"drift_adaptive", drift_config, 7.1009},
-      {"fault_recovery", fault_config, 0.8798},
-      {"zoo_cdn_flash", zoo_cdn_flash_config, 0.8138},
-      {"zoo_api_gateway", zoo_api_gateway_config, 0.8872},
-      {"zoo_ecommerce_diurnal", zoo_ecommerce_config, 0.7698},
+      {"fig8_memory_sweep", fig8_config, 0.7641},
+      {"drift_adaptive", drift_config, 1.0476},
+      {"fault_recovery", fault_config, 0.7692},
+      {"zoo_cdn_flash", zoo_cdn_flash_config, 0.7386},
+      {"zoo_api_gateway", zoo_api_gateway_config, 0.5512},
+      {"zoo_ecommerce_diurnal", zoo_ecommerce_config, 0.6707},
   };
 
   core::PerfReport sim_report;

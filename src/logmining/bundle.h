@@ -6,14 +6,18 @@
 // twice: the front-end forwards embedded-object requests to the back-end
 // that served the page (no dispatcher contact), and the back-end prefetches
 // a page's bundle into memory when the page is requested.
+//
+// Counters and bundles live in flat storage (logmining/flat_index.h): a
+// copy is a few vector copies, which the adaptation loop makes at every
+// re-mine.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "logmining/flat_index.h"
 #include "trace/workload.h"
 
 namespace prord::logmining {
@@ -38,7 +42,7 @@ class BundleMiner {
   /// True if `object` is in `page`'s bundle.
   bool in_bundle(trace::FileId page, trace::FileId object) const;
 
-  std::size_t num_bundles() const noexcept { return bundles_.size(); }
+  std::size_t num_bundles() const noexcept { return num_bundles_; }
 
   /// Total bytes of a bundle given a file-size oracle.
   std::uint64_t bundle_bytes(trace::FileId page,
@@ -49,18 +53,30 @@ class BundleMiner {
   void save(std::ostream& out) const;
 
   /// Restores counters saved by save() and re-finalizes. Returns false on
-  /// malformed input (state unspecified).
+  /// malformed input, leaving the miner as it was.
   bool load(std::istream& in);
 
  private:
-  struct PageCounts {
+  /// A page's counters and its finalized bundle. Its embedded objects are
+  /// chained through arena_ from `objects`, each with its co-occurrence
+  /// count; the bundle is members_[bundle_begin, bundle_end).
+  struct Page {
+    trace::FileId page = trace::kInvalidFile;
     std::uint64_t views = 0;
-    std::unordered_map<trace::FileId, std::uint64_t> objects;
+    std::uint32_t objects = kNoSlot;
+    std::uint32_t bundle_begin = 0;
+    std::uint32_t bundle_end = 0;
   };
 
+  Page& page_slot(trace::FileId page);
+  void count_object(Page& page, trace::FileId object, std::uint64_t n);
+
   double min_cooccurrence_;
-  std::unordered_map<trace::FileId, PageCounts> counts_;
-  std::unordered_map<trace::FileId, std::vector<trace::FileId>> bundles_;
+  FlatIndex<trace::FileId> index_;  ///< page -> pages_ position
+  std::vector<Page> pages_;
+  std::vector<ArenaEntry> arena_;       ///< every page's object counts
+  std::vector<trace::FileId> members_;  ///< every bundle, each sorted
+  std::size_t num_bundles_ = 0;
 };
 
 }  // namespace prord::logmining

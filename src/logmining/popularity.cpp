@@ -7,7 +7,6 @@
 #include <istream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -55,17 +54,24 @@ double PopularityTracker::decayed(const Entry& e, sim::SimTime now) const {
   return e.value * std::exp2(-dt / static_cast<double>(halflife_));
 }
 
-void PopularityTracker::touch(Node& node) {
-  if (band_.k == 0 || node.second.touched) return;
-  node.second.touched = true;
-  band_.touched.push_back(&node);
+std::uint32_t PopularityTracker::entry_of(trace::FileId file) {
+  const auto [entry, inserted] =
+      index_.insert(file, static_cast<std::uint32_t>(entries_.size()));
+  if (inserted) entries_.push_back(Entry{file});
+  return entry;
+}
+
+void PopularityTracker::touch(std::uint32_t entry) {
+  if (band_.k == 0 || entries_[entry].touched) return;
+  entries_[entry].touched = true;
+  band_.touched.push_back(entry);
 }
 
 void PopularityTracker::seed(std::span<const trace::Request> requests) {
   for (const auto& req : requests) {
-    auto& node = *entries_.try_emplace(req.file).first;
-    node.second.value += 1.0;
-    touch(node);
+    const std::uint32_t entry = entry_of(req.file);
+    entries_[entry].value += 1.0;
+    touch(entry);
   }
 }
 
@@ -73,36 +79,39 @@ void PopularityTracker::age(double keep_fraction) {
   if (keep_fraction <= 0.0 || keep_fraction > 1.0)
     throw std::invalid_argument("PopularityTracker: keep_fraction in (0, 1]");
   band_.clear();
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it->second.value *= keep_fraction;
-    if (it->second.value < 1e-6)
-      it = entries_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(entries_, [&](Entry& e) {
+    e.value *= keep_fraction;
+    return e.value < 1e-6;
+  });
+  index_.clear();
+  for (std::size_t i = 0; i < entries_.size(); ++i)
+    index_.insert(entries_[i].file, static_cast<std::uint32_t>(i));
 }
 
 void PopularityTracker::record_hit(trace::FileId file, sim::SimTime now) {
-  auto& node = *entries_.try_emplace(file).first;
-  auto& e = node.second;
+  const std::uint32_t entry = entry_of(file);
+  Entry& e = entries_[entry];
   e.value = decayed(e, now) + 1.0;
   e.stamp = std::max(e.stamp, now);
   max_stamp_ = std::max(max_stamp_, now);
-  touch(node);
+  touch(entry);
 }
 
 double PopularityTracker::rank(trace::FileId file, sim::SimTime now) const {
-  const auto it = entries_.find(file);
-  return it == entries_.end() ? 0.0 : decayed(it->second, now);
+  const std::uint32_t entry = index_.find(file);
+  return entry == kNoSlot ? 0.0 : decayed(entries_[entry], now);
 }
 
 void PopularityTracker::save(std::ostream& out) const {
   out << "popularity " << halflife_ << ' ' << entries_.size() << '\n';
-  std::map<trace::FileId, const Entry*> ordered;
-  for (const auto& [file, e] : entries_) ordered.emplace(file, &e);
+  std::vector<const Entry*> ordered;
+  ordered.reserve(entries_.size());
+  for (const Entry& e : entries_) ordered.push_back(&e);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Entry* a, const Entry* b) { return a->file < b->file; });
   // Decayed values round-trip bit-exactly as their IEEE-754 bit patterns.
-  for (const auto& [file, e] : ordered)
-    out << file << ' ' << std::bit_cast<std::uint64_t>(e->value) << ' '
+  for (const Entry* e : ordered)
+    out << e->file << ' ' << std::bit_cast<std::uint64_t>(e->value) << ' '
         << e->stamp << '\n';
   out << "end\n";
 }
@@ -114,59 +123,62 @@ bool PopularityTracker::load(std::istream& in) {
   if (!(in >> tag >> halflife >> n) || tag != "popularity" ||
       halflife != halflife_)
     return false;
-  // Stage into a local table: every early return below must leave the
+  // Stage into a local tracker: every early return below must leave the
   // live counters untouched (the all-or-nothing contract in the header).
-  std::unordered_map<trace::FileId, Entry> entries;
-  sim::SimTime max_stamp = 0;
-  entries.reserve(std::min<std::size_t>(n, 1u << 20));  // corrupt-count guard
+  // A repeated file keeps its first record (save() writes none).
+  PopularityTracker staged(halflife_);
+  // Corrupt-count guard: reserve no more than a sane table.
+  staged.entries_.reserve(std::min<std::size_t>(n, 1u << 20));
   for (std::size_t i = 0; i < n; ++i) {
-    trace::FileId file = 0;
-    std::uint64_t value_bits = 0;
     Entry e;
-    if (!(in >> file >> value_bits >> e.stamp)) return false;
+    std::uint64_t value_bits = 0;
+    if (!(in >> e.file >> value_bits >> e.stamp)) return false;
     e.value = std::bit_cast<double>(value_bits);
-    max_stamp = std::max(max_stamp, e.stamp);
-    entries.emplace(file, e);
+    staged.max_stamp_ = std::max(staged.max_stamp_, e.stamp);
+    const auto [entry, fresh] = staged.index_.insert(
+        e.file, static_cast<std::uint32_t>(staged.entries_.size()));
+    if (fresh) staged.entries_.push_back(e);
   }
   if (!(in >> tag) || tag != "end") return false;
-  entries_ = std::move(entries);
-  max_stamp_ = max_stamp;
-  band_.clear();
+  *this = std::move(staged);
   return true;
 }
 
 std::vector<RankEntry> PopularityTracker::rank_table(sim::SimTime now) const {
   std::vector<RankEntry> table;
   table.reserve(entries_.size());
-  for (const auto& [file, e] : entries_)
-    table.push_back(RankEntry{file, decayed(e, now)});
+  for (const Entry& e : entries_)
+    table.push_back(RankEntry{e.file, decayed(e, now)});
   std::sort(table.begin(), table.end(), rank_before);
   return table;
 }
 
 bool PopularityTracker::refresh_band(std::size_t k) {
   bool valid = true;
-  const auto slot = [&](Node& node) {
-    Entry& e = node.second;
+  const auto slot = [&](std::uint32_t entry) {
+    Entry& e = entries_[entry];
     e.touched = false;
     valid &= e.value > 0.0 && e.value <= kMaxBandValue;
     double key = std::log2(e.value);
     if (halflife_ != 0)
       key += static_cast<double>(e.stamp) / static_cast<double>(halflife_);
-    return Slot{&node, key};
+    return Slot{entry, key};
   };
   // Key descending, file ascending: the band's order, which the rank
   // order of its rows nearly matches.
-  const auto key_before = [](const Slot& a, const Slot& b) {
-    return a.key != b.key ? a.key > b.key : a.node->first < b.node->first;
+  const auto key_before = [this](const Slot& a, const Slot& b) {
+    return a.key != b.key ? a.key > b.key
+                          : entries_[a.entry].file < entries_[b.entry].file;
   };
   auto& slots = band_.slots;
   const bool incremental = band_.k == k;
   if (incremental) {
     // Replace the touched entries' stale slots with fresh ones, merged in.
-    std::erase_if(slots, [](const Slot& s) { return s.node->second.touched; });
+    std::erase_if(slots,
+                  [this](const Slot& s) { return entries_[s.entry].touched; });
     const auto kept = static_cast<std::ptrdiff_t>(slots.size());
-    for (Node* node : band_.touched) slots.push_back(slot(*node));
+    for (const std::uint32_t entry : band_.touched)
+      slots.push_back(slot(entry));
     std::sort(slots.begin() + kept, slots.end(), key_before);
     band_.merged.clear();
     std::merge(slots.begin(), slots.begin() + kept, slots.begin() + kept,
@@ -174,7 +186,8 @@ bool PopularityTracker::refresh_band(std::size_t k) {
     slots.swap(band_.merged);
   } else {
     slots.clear();
-    for (auto& node : entries_) slots.push_back(slot(node));
+    for (std::uint32_t i = 0; i < entries_.size(); ++i)
+      slots.push_back(slot(i));
   }
   band_.touched.clear();
   if (!valid) return false;
@@ -209,8 +222,10 @@ void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
   out.clear();
   if (k == 0) return;
   if (now >= max_stamp_ && refresh_band(k)) {
-    for (const Slot& s : band_.slots)
-      out.push_back(RankEntry{s.node->first, decayed(s.node->second, now)});
+    for (const Slot& s : band_.slots) {
+      const Entry& e = entries_[s.entry];
+      out.push_back(RankEntry{e.file, decayed(e, now)});
+    }
     // Key order is rank order except among near-ties, so an insertion
     // sort finishes in about one pass where std::sort would not.
     for (auto it = out.begin(); it != out.end(); ++it) {

@@ -4,15 +4,18 @@
 // plus dynamic online tracking of page hits. We implement that as a decayed
 // hit counter: offline counts seed the table, online hits add with
 // exponential decay so "the recent history" (Algorithm 3) dominates.
+//
+// The counters live in flat storage (logmining/flat_index.h): one dense
+// entry per file, so a copy is a few vector copies, which the adaptation
+// loop makes at every re-mine.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "logmining/flat_index.h"
 #include "simcore/sim_time.h"
 #include "trace/workload.h"
 
@@ -82,16 +85,16 @@ class PopularityTracker {
 
  private:
   struct Entry {
+    trace::FileId file = trace::kInvalidFile;
+    bool touched = false;  ///< queued in band_.touched
     double value = 0.0;
     sim::SimTime stamp = 0;
-    bool touched = false;  ///< queued in band_.touched
   };
-  using Node = std::pair<const trace::FileId, Entry>;
   struct Slot {
-    Node* node;
+    std::uint32_t entry;  ///< entries_ position
     double key;
   };
-  /// top_rank_table's state between calls. It points into entries_, so a
+  /// top_rank_table's state between calls. It indexes entries_, so a
   /// copied or moved tracker (and the moved-from one) starts empty and
   /// rescans. While k != 0, an entry is flagged touched exactly when it
   /// is in `touched`.
@@ -99,7 +102,7 @@ class PopularityTracker {
     std::size_t k = 0;  ///< 0: no band, the next call rescans
     double kth_key = 0.0;
     std::vector<Slot> slots;  ///< key descending, file ascending
-    std::vector<Node*> touched;
+    std::vector<std::uint32_t> touched;  ///< entries_ positions
     std::vector<Slot> merged;  ///< scratch for re-sorting `slots`
 
     Band() = default;
@@ -122,12 +125,15 @@ class PopularityTracker {
   };
 
   double decayed(const Entry& e, sim::SimTime now) const;
-  void touch(Node& node);
+  /// entries_ position of `file`'s entry, added at zero if new.
+  std::uint32_t entry_of(trace::FileId file);
+  void touch(std::uint32_t entry);
   bool refresh_band(std::size_t k);
 
   sim::SimTime halflife_;
   sim::SimTime max_stamp_ = 0;  ///< no entry's stamp is later
-  std::unordered_map<trace::FileId, Entry> entries_;
+  FlatIndex<trace::FileId> index_;  ///< file -> entries_ position
+  std::vector<Entry> entries_;
   Band band_;
 };
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <istream>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
@@ -25,7 +26,7 @@ bool better(const Prediction& a, const Prediction& b) {
 MarkovPredictor::MarkovPredictor(unsigned order) : order_(order) {
   if (order == 0 || order > 8)
     throw std::invalid_argument("MarkovPredictor: order must be in [1,8]");
-  tables_.resize(order);
+  index_.resize(order);
 }
 
 std::uint64_t MarkovPredictor::context_key(
@@ -38,13 +39,39 @@ std::uint64_t MarkovPredictor::context_key(
   return h;
 }
 
+std::uint32_t MarkovPredictor::add_context(std::uint32_t level,
+                                           std::uint64_t key) {
+  const auto [slot, inserted] = index_[level].insert(
+      key, static_cast<std::uint32_t>(contexts_.size()));
+  if (inserted) contexts_.push_back(Context{key, 0, kNoSlot, level});
+  return slot;
+}
+
+void MarkovPredictor::rebuild_index() {
+  for (auto& index : index_) index.clear();
+  for (std::size_t i = 0; i < contexts_.size(); ++i)
+    index_[contexts_[i].level].insert(contexts_[i].key,
+                                      static_cast<std::uint32_t>(i));
+}
+
+void MarkovPredictor::add_successor(Context& c, trace::FileId page,
+                                    std::uint64_t n) {
+  for (std::uint32_t e = c.head; e != kNoSlot; e = arena_[e].next) {
+    if (arena_[e].id == page) {
+      arena_[e].count += n;
+      return;
+    }
+  }
+  arena_.push_back(ArenaEntry{page, c.head, n});
+  c.head = static_cast<std::uint32_t>(arena_.size() - 1);
+}
+
 void MarkovPredictor::count(std::span<const trace::FileId> ctx,
                             trace::FileId next) {
-  auto& stats = tables_[ctx.size() - 1][context_key(ctx)];
-  ++stats.total;
-  const auto [it, inserted] = stats.next.try_emplace(next, 0);
-  ++it->second;
-  entries_ += inserted;
+  Context& c = contexts_[add_context(
+      static_cast<std::uint32_t>(ctx.size() - 1), context_key(ctx))];
+  ++c.total;
+  add_successor(c, next, 1);
 }
 
 void MarkovPredictor::observe(std::span<const trace::FileId> pages) {
@@ -62,50 +89,66 @@ void MarkovPredictor::observe_transition(
     count(context.subspan(context.size() - len, len), page);
 }
 
+const MarkovPredictor::Context* MarkovPredictor::match(
+    std::span<const trace::FileId> context) const {
+  // The most specific context with data wins outright (standard PPM
+  // behaviour).
+  const std::size_t max_ctx = std::min<std::size_t>(order_, context.size());
+  for (std::size_t len = max_ctx; len >= 1; --len) {
+    const std::uint32_t slot = index_[len - 1].find(
+        context_key(context.subspan(context.size() - len, len)));
+    if (slot != kNoSlot && contexts_[slot].total != 0)
+      return &contexts_[slot];
+  }
+  return nullptr;
+}
+
 std::optional<Prediction> MarkovPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
-    return std::nullopt;
-  return all.front();
+  const Context* c = match(context);
+  if (!c) return std::nullopt;
+  std::optional<Prediction> best;
+  for (std::uint32_t e = c->head; e != kNoSlot; e = arena_[e].next) {
+    const Prediction p = prediction(*c, arena_[e]);
+    if (!best || better(p, *best)) best = p;
+  }
+  if (best && best->confidence < min_confidence) return std::nullopt;
+  return best;
 }
 
 std::vector<Prediction> MarkovPredictor::predict_all(
     std::span<const trace::FileId> context, std::size_t k) const {
-  // Longest-context-first back-off: the most specific context with data
-  // wins outright (standard PPM behaviour).
-  const std::size_t max_ctx = std::min<std::size_t>(order_, context.size());
-  for (std::size_t len = max_ctx; len >= 1; --len) {
-    const auto ctx = context.subspan(context.size() - len, len);
-    const auto& table = tables_[len - 1];
-    const auto it = table.find(context_key(ctx));
-    if (it == table.end() || it->second.total == 0) continue;
-    std::vector<Prediction> preds;
-    preds.reserve(it->second.next.size());
-    for (const auto& [page, cnt] : it->second.next)
-      preds.push_back(Prediction{
-          page,
-          static_cast<double>(cnt) / static_cast<double>(it->second.total),
-          static_cast<unsigned>(len)});
-    std::sort(preds.begin(), preds.end(), better);
-    if (preds.size() > k) preds.resize(k);
-    return preds;
-  }
-  return {};
+  const Context* c = match(context);
+  if (!c) return {};
+  std::vector<Prediction> preds;
+  for (std::uint32_t e = c->head; e != kNoSlot; e = arena_[e].next)
+    preds.push_back(prediction(*c, arena_[e]));
+  std::sort(preds.begin(), preds.end(), better);
+  if (preds.size() > k) preds.resize(k);
+  return preds;
 }
 
 void MarkovPredictor::save(std::ostream& out) const {
   out << "markov " << order_ << '\n';
-  for (std::size_t level = 0; level < tables_.size(); ++level) {
-    // Ordered copy for deterministic output.
-    std::map<std::uint64_t, const ContextStats*> ordered;
-    for (const auto& [key, stats] : tables_[level])
-      ordered.emplace(key, &stats);
-    out << "level " << level << ' ' << ordered.size() << '\n';
-    for (const auto& [key, stats] : ordered) {
-      std::map<trace::FileId, std::uint64_t> next(stats->next.begin(),
-                                                  stats->next.end());
-      out << key << ' ' << stats->total << ' ' << next.size();
+  // Canonical order: level, then context key, then successor page.
+  std::vector<std::uint32_t> order(contexts_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Context& x = contexts_[a];
+    const Context& y = contexts_[b];
+    return x.level != y.level ? x.level < y.level : x.key < y.key;
+  });
+  std::vector<std::pair<trace::FileId, std::uint64_t>> next;
+  auto it = order.begin();
+  for (std::uint32_t level = 0; level < order_; ++level) {
+    out << "level " << level << ' ' << index_[level].size() << '\n';
+    for (; it != order.end() && contexts_[*it].level == level; ++it) {
+      const Context& c = contexts_[*it];
+      next.clear();
+      for (std::uint32_t e = c.head; e != kNoSlot; e = arena_[e].next)
+        next.emplace_back(arena_[e].id, arena_[e].count);
+      std::sort(next.begin(), next.end());
+      out << c.key << ' ' << c.total << ' ' << next.size();
       for (const auto& [page, cnt] : next) out << ' ' << page << ' ' << cnt;
       out << '\n';
     }
@@ -118,58 +161,62 @@ bool MarkovPredictor::load(std::istream& in) {
   unsigned order = 0;
   if (!(in >> tag >> order) || tag != "markov" || order != order_)
     return false;
-  std::vector<std::unordered_map<std::uint64_t, ContextStats>> tables(order_);
-  std::size_t entries = 0;
-  for (unsigned level = 0; level < order_; ++level) {
+  // Staged: a malformed stream leaves this predictor as it was.
+  MarkovPredictor staged(order_);
+  for (std::uint32_t level = 0; level < order_; ++level) {
     std::size_t level_idx = 0, contexts = 0;
     if (!(in >> tag >> level_idx >> contexts) || tag != "level" ||
         level_idx != level)
       return false;
-    for (std::size_t c = 0; c < contexts; ++c) {
+    for (std::size_t i = 0; i < contexts; ++i) {
       std::uint64_t key = 0, total = 0;
       std::size_t n = 0;
       if (!(in >> key >> total >> n)) return false;
-      ContextStats stats;
-      stats.total = total;
-      for (std::size_t i = 0; i < n; ++i) {
+      // A repeated context keeps its first record (save() writes none).
+      const bool fresh = staged.index_[level].find(key) == kNoSlot;
+      Context& c = staged.contexts_[staged.add_context(level, key)];
+      if (fresh) c.total = total;
+      for (std::size_t j = 0; j < n; ++j) {
         trace::FileId page = 0;
         std::uint64_t cnt = 0;
         if (!(in >> page >> cnt)) return false;
-        stats.next.emplace(page, cnt);
+        if (fresh) staged.add_successor(c, page, cnt);
       }
-      entries += stats.next.size();
-      tables[level].emplace(key, std::move(stats));
     }
   }
   if (!(in >> tag) || tag != "end") return false;
-  tables_ = std::move(tables);
-  entries_ = entries;
+  *this = std::move(staged);
   return true;
 }
 
 void MarkovPredictor::age(double keep_fraction, std::uint64_t min_count) {
   if (keep_fraction <= 0.0 || keep_fraction > 1.0)
     throw std::invalid_argument("age: keep_fraction in (0,1]");
-  for (auto& table : tables_) {
-    for (auto it = table.begin(); it != table.end();) {
-      auto& stats = it->second;
-      stats.total = 0;
-      for (auto nit = stats.next.begin(); nit != stats.next.end();) {
-        nit->second = std::max(
-            static_cast<std::uint64_t>(static_cast<double>(nit->second) *
-                                       keep_fraction),
-            min_count);
-        if (nit->second == 0) {
-          nit = stats.next.erase(nit);
-          --entries_;
-        } else {
-          stats.total += nit->second;
-          ++nit;
-        }
-      }
-      it = stats.next.empty() ? table.erase(it) : std::next(it);
+  // One compacting pass: surviving successors are rewritten contiguously
+  // per context into a fresh arena, and contexts left without successors
+  // are dropped.
+  std::vector<ArenaEntry> arena;
+  arena.reserve(arena_.size());
+  std::size_t kept_contexts = 0;
+  for (const Context& c : contexts_) {
+    Context kept = c;
+    kept.total = 0;
+    kept.head = kNoSlot;
+    for (std::uint32_t e = c.head; e != kNoSlot; e = arena_[e].next) {
+      const std::uint64_t cnt = std::max(
+          static_cast<std::uint64_t>(static_cast<double>(arena_[e].count) *
+                                     keep_fraction),
+          min_count);
+      if (cnt == 0) continue;
+      kept.total += cnt;
+      arena.push_back(ArenaEntry{arena_[e].id, kept.head, cnt});
+      kept.head = static_cast<std::uint32_t>(arena.size() - 1);
     }
+    if (kept.head != kNoSlot) contexts_[kept_contexts++] = kept;
   }
+  contexts_.resize(kept_contexts);
+  arena_ = std::move(arena);
+  rebuild_index();
 }
 
 // ---------------------------------------------------------------------------
@@ -212,27 +259,44 @@ void DependencyGraphPredictor::observe_transition(
   if (!context.empty()) ++nodes_[context.back()].occurrences;
 }
 
+const DependencyGraphPredictor::Node* DependencyGraphPredictor::node_of(
+    std::span<const trace::FileId> context) const {
+  if (context.empty()) return nullptr;
+  const auto it = nodes_.find(context.back());
+  if (it == nodes_.end() || it->second.occurrences == 0) return nullptr;
+  return &it->second;
+}
+
+Prediction DependencyGraphPredictor::prediction(const Node& node,
+                                                trace::FileId page,
+                                                std::uint64_t cnt) {
+  return Prediction{page,
+                    std::min(1.0, static_cast<double>(cnt) /
+                                      static_cast<double>(node.occurrences)),
+                    1};
+}
+
 std::optional<Prediction> DependencyGraphPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
-    return std::nullopt;
-  return all.front();
+  const Node* node = node_of(context);
+  if (!node) return std::nullopt;
+  std::optional<Prediction> best;
+  for (const auto& [page, cnt] : node->arcs) {
+    const Prediction p = prediction(*node, page, cnt);
+    if (!best || better(p, *best)) best = p;
+  }
+  if (best && best->confidence < min_confidence) return std::nullopt;
+  return best;
 }
 
 std::vector<Prediction> DependencyGraphPredictor::predict_all(
     std::span<const trace::FileId> context, std::size_t k) const {
-  if (context.empty()) return {};
-  const auto it = nodes_.find(context.back());
-  if (it == nodes_.end() || it->second.occurrences == 0) return {};
+  const Node* node = node_of(context);
+  if (!node) return {};
   std::vector<Prediction> preds;
-  preds.reserve(it->second.arcs.size());
-  for (const auto& [page, cnt] : it->second.arcs)
-    preds.push_back(Prediction{
-        page,
-        std::min(1.0, static_cast<double>(cnt) /
-                          static_cast<double>(it->second.occurrences)),
-        1});
+  preds.reserve(node->arcs.size());
+  for (const auto& [page, cnt] : node->arcs)
+    preds.push_back(prediction(*node, page, cnt));
   std::sort(preds.begin(), preds.end(), better);
   if (preds.size() > k) preds.resize(k);
   return preds;
@@ -316,13 +380,35 @@ CandidatePathPredictor::CandidatePathPredictor(unsigned order)
     throw std::invalid_argument("CandidatePathPredictor: order in [1,8]");
 }
 
+const CandidatePathPredictor::LinkList* CandidatePathPredictor::links_of(
+    trace::FileId page) const {
+  const std::uint32_t slot = page_index_.find(page);
+  return slot == kNoSlot ? nullptr : &pages_[slot];
+}
+
+bool CandidatePathPredictor::linked(const LinkList& list,
+                                    trace::FileId to) const {
+  for (std::uint32_t e = list.head; e != kNoSlot; e = links_[e].next)
+    if (links_[e].id == to) return true;
+  return false;
+}
+
+void CandidatePathPredictor::append_link(std::uint32_t slot,
+                                         trace::FileId to) {
+  const auto at = static_cast<std::uint32_t>(links_.size());
+  links_.push_back(ArenaEntry{to, kNoSlot, 0});
+  LinkList& list = pages_[slot];
+  (list.tail == kNoSlot ? list.head : links_[list.tail].next) = at;
+  list.tail = at;
+  ++list.size;
+}
+
 void CandidatePathPredictor::add_link(trace::FileId from, trace::FileId to) {
   if (from == to) return;
-  auto& out = links_[from];
-  if (std::find(out.begin(), out.end(), to) == out.end()) {
-    out.push_back(to);
-    ++link_entries_;
-  }
+  const auto [slot, inserted] =
+      page_index_.insert(from, static_cast<std::uint32_t>(pages_.size()));
+  if (inserted) pages_.push_back(LinkList{from});
+  if (!linked(pages_[slot], to)) append_link(slot, to);
 }
 
 void CandidatePathPredictor::observe(std::span<const trace::FileId> pages) {
@@ -339,10 +425,26 @@ void CandidatePathPredictor::observe_transition(
 
 std::optional<Prediction> CandidatePathPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
-    return std::nullopt;
-  return all.front();
+  // predict_all(context, 1) ranks the matched context's top (1 + degree)
+  // successors and keeps the best linked one. So the answer is the best
+  // linked successor, provided at most `degree` unlinked ones outrank it.
+  if (context.empty()) return std::nullopt;
+  const LinkList* list = links_of(context.back());
+  if (!list) return std::nullopt;
+  const auto* c = counts_.match(context);
+  if (!c) return std::nullopt;
+  const auto& arena = counts_.arena_;
+  std::optional<Prediction> best;
+  for (std::uint32_t e = c->head; e != kNoSlot; e = arena[e].next) {
+    const Prediction p = counts_.prediction(*c, arena[e]);
+    if ((!best || better(p, *best)) && linked(*list, p.page)) best = p;
+  }
+  if (!best || best->confidence < min_confidence) return std::nullopt;
+  std::uint32_t outranked_by = 0;
+  for (std::uint32_t e = c->head; e != kNoSlot; e = arena[e].next)
+    outranked_by += better(counts_.prediction(*c, arena[e]), *best);
+  if (outranked_by > list->size) return std::nullopt;
+  return best;
 }
 
 std::vector<Prediction> CandidatePathPredictor::predict_all(
@@ -350,24 +452,28 @@ std::vector<Prediction> CandidatePathPredictor::predict_all(
   if (context.empty()) return {};
   // Candidates are restricted to pages directly linked from the current
   // page — Algorithm 1's memory-bounding rule.
-  const auto lit = links_.find(context.back());
-  if (lit == links_.end()) return {};
-  auto preds = counts_.predict_all(context, k + lit->second.size());
-  std::erase_if(preds, [&](const Prediction& p) {
-    return std::find(lit->second.begin(), lit->second.end(), p.page) ==
-           lit->second.end();
-  });
+  const LinkList* list = links_of(context.back());
+  if (!list) return {};
+  auto preds = counts_.predict_all(context, k + list->size);
+  std::erase_if(preds,
+                [&](const Prediction& p) { return !linked(*list, p.page); });
   if (preds.size() > k) preds.resize(k);
   return preds;
 }
 
 void CandidatePathPredictor::save(std::ostream& out) const {
-  out << "candidatepath " << order_ << ' ' << links_.size() << '\n';
-  std::map<trace::FileId, const std::vector<trace::FileId>*> ordered;
-  for (const auto& [from, to] : links_) ordered.emplace(from, &to);
-  for (const auto& [from, to] : ordered) {
-    out << from << ' ' << to->size();
-    for (trace::FileId t : *to) out << ' ' << t;
+  out << "candidatepath " << order_ << ' ' << pages_.size() << '\n';
+  std::vector<const LinkList*> ordered;
+  ordered.reserve(pages_.size());
+  for (const LinkList& list : pages_) ordered.push_back(&list);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const LinkList* a, const LinkList* b) {
+              return a->from < b->from;
+            });
+  for (const LinkList* list : ordered) {
+    out << list->from << ' ' << list->size;
+    for (std::uint32_t e = list->head; e != kNoSlot; e = links_[e].next)
+      out << ' ' << links_[e].id;
     out << '\n';
   }
   counts_.save(out);
@@ -379,21 +485,24 @@ bool CandidatePathPredictor::load(std::istream& in) {
   std::size_t n = 0;
   if (!(in >> tag >> order >> n) || tag != "candidatepath" || order != order_)
     return false;
-  std::unordered_map<trace::FileId, std::vector<trace::FileId>> links;
-  std::size_t link_entries = 0;
+  // Staged: a malformed stream leaves this predictor as it was.
+  CandidatePathPredictor staged(order_);
   for (std::size_t i = 0; i < n; ++i) {
     trace::FileId from = 0;
     std::size_t outdeg = 0;
     if (!(in >> from >> outdeg)) return false;
-    std::vector<trace::FileId> to(outdeg);
-    for (auto& t : to)
-      if (!(in >> t)) return false;
-    link_entries += to.size();
-    links.emplace(from, std::move(to));
+    // A repeated page keeps its first list; links are kept as listed.
+    const auto [slot, inserted] = staged.page_index_.insert(
+        from, static_cast<std::uint32_t>(staged.pages_.size()));
+    if (inserted) staged.pages_.push_back(LinkList{from});
+    for (std::size_t t = 0; t < outdeg; ++t) {
+      trace::FileId to = 0;
+      if (!(in >> to)) return false;
+      if (inserted) staged.append_link(slot, to);
+    }
   }
-  if (!counts_.load(in)) return false;
-  links_ = std::move(links);
-  link_entries_ = link_entries;
+  if (!staged.counts_.load(in)) return false;
+  *this = std::move(staged);
   return true;
 }
 
@@ -412,20 +521,18 @@ std::vector<std::vector<trace::FileId>> CandidatePathPredictor::candidate_paths(
       [&](trace::FileId at, unsigned depth) {
         if (out.size() >= max_paths) return;
         current.push_back(at);
-        if (depth == order_) {
+        const LinkList* list = depth == order_ ? nullptr : links_of(at);
+        if (!list || list->head == kNoSlot) {
           out.push_back(current);
         } else {
-          const auto it = links_.find(at);
-          if (it == links_.end() || it->second.empty()) {
-            out.push_back(current);
-          } else {
-            for (trace::FileId next : it->second) {
-              if (std::find(current.begin(), current.end(), next) !=
-                  current.end())
-                continue;  // avoid cycles
-              dfs(next, depth + 1);
-              if (out.size() >= max_paths) break;
-            }
+          for (std::uint32_t e = list->head; e != kNoSlot;
+               e = links_[e].next) {
+            const trace::FileId next = links_[e].id;
+            if (std::find(current.begin(), current.end(), next) !=
+                current.end())
+              continue;  // avoid cycles
+            dfs(next, depth + 1);
+            if (out.size() >= max_paths) break;
           }
         }
         current.pop_back();

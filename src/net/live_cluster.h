@@ -164,7 +164,7 @@ struct LiveRunResult {
   std::uint64_t flight_dumps = 0;
   /// GET /slo body fetched over a real client socket while live.
   std::string slo_scrape;
-  obs::SloEval slo;  ///< final burn-rate evaluation at teardown
+  obs::SloEval slo;  ///< final burn-rate evaluation, as the load ended
 
   // Live prefetch results (meaningful when LiveConfig::prefetch was on).
   bool prefetch_enabled = false;

@@ -474,6 +474,10 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
   load_threads = std::min(load_threads, std::max<std::size_t>(
                                             1, total_requests));
   std::vector<net::LoadGenResult> slices(load_threads);
+  // The run's end on shard 0's clock: the final SLO posture is evaluated
+  // here, not after the scrapes and the teardown below, whose duration
+  // would otherwise age the last traffic out of short burn-rate windows.
+  sim::SimTime load_end_us = 0;
   {
     std::vector<std::thread> threads;
     threads.reserve(load_threads);
@@ -495,6 +499,7 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
       });
     }
     for (auto& th : threads) th.join();
+    load_end_us = fe.shard(0).elapsed_us();
     for (const net::LoadGenResult& s : slices) {
       result.load.issued += s.issued;
       result.load.completed += s.completed;
@@ -555,7 +560,7 @@ net::LiveRunResult run_live_sharded(const net::LiveConfig& config) {
   }
   // Shard 0's monitor stands in for the final burn-rate posture (each
   // shard evaluates only its own traffic; the scrape body carries all).
-  result.slo = fe.shard(0).slo().evaluate(fe.shard(0).elapsed_us());
+  result.slo = fe.shard(0).slo().evaluate(load_end_us);
 
   if (!config.trace_out.empty()) {
     std::ofstream out(config.trace_out, std::ios::trunc);
