@@ -1,7 +1,6 @@
 #include "logmining/predictor.h"
 
 #include <algorithm>
-#include <functional>
 #include <istream>
 #include <map>
 #include <numeric>
@@ -103,17 +102,24 @@ const MarkovPredictor::Context* MarkovPredictor::match(
   return nullptr;
 }
 
-std::optional<Prediction> MarkovPredictor::predict(
-    std::span<const trace::FileId> context, double min_confidence) const {
+std::optional<Prediction> MarkovPredictor::best(
+    std::span<const trace::FileId> context, double min_confidence,
+    std::optional<trace::FileId> skip) const {
   const Context* c = match(context);
   if (!c) return std::nullopt;
   std::optional<Prediction> best;
   for (std::uint32_t e = c->head; e != kNoSlot; e = arena_[e].next) {
+    if (arena_[e].id == skip) continue;
     const Prediction p = prediction(*c, arena_[e]);
     if (!best || better(p, *best)) best = p;
   }
   if (best && best->confidence < min_confidence) return std::nullopt;
   return best;
+}
+
+std::optional<Prediction> MarkovPredictor::predict(
+    std::span<const trace::FileId> context, double min_confidence) const {
+  return best(context, min_confidence, std::nullopt);
 }
 
 std::vector<Prediction> MarkovPredictor::predict_all(
@@ -374,171 +380,22 @@ void DependencyGraphPredictor::age(double keep_fraction,
 // ---------------------------------------------------------------------------
 // CandidatePathPredictor
 
-CandidatePathPredictor::CandidatePathPredictor(unsigned order)
-    : order_(order), counts_(order == 0 ? 1 : order) {
-  if (order == 0 || order > 8)
-    throw std::invalid_argument("CandidatePathPredictor: order in [1,8]");
-}
-
-const CandidatePathPredictor::LinkList* CandidatePathPredictor::links_of(
-    trace::FileId page) const {
-  const std::uint32_t slot = page_index_.find(page);
-  return slot == kNoSlot ? nullptr : &pages_[slot];
-}
-
-bool CandidatePathPredictor::linked(const LinkList& list,
-                                    trace::FileId to) const {
-  for (std::uint32_t e = list.head; e != kNoSlot; e = links_[e].next)
-    if (links_[e].id == to) return true;
-  return false;
-}
-
-void CandidatePathPredictor::append_link(std::uint32_t slot,
-                                         trace::FileId to) {
-  const auto at = static_cast<std::uint32_t>(links_.size());
-  links_.push_back(ArenaEntry{to, kNoSlot, 0});
-  LinkList& list = pages_[slot];
-  (list.tail == kNoSlot ? list.head : links_[list.tail].next) = at;
-  list.tail = at;
-  ++list.size;
-}
-
-void CandidatePathPredictor::add_link(trace::FileId from, trace::FileId to) {
-  if (from == to) return;
-  const auto [slot, inserted] =
-      page_index_.insert(from, static_cast<std::uint32_t>(pages_.size()));
-  if (inserted) pages_.push_back(LinkList{from});
-  if (!linked(pages_[slot], to)) append_link(slot, to);
-}
-
-void CandidatePathPredictor::observe(std::span<const trace::FileId> pages) {
-  for (std::size_t i = 1; i < pages.size(); ++i)
-    add_link(pages[i - 1], pages[i]);
-  counts_.observe(pages);
-}
-
-void CandidatePathPredictor::observe_transition(
-    std::span<const trace::FileId> context, trace::FileId page) {
-  if (!context.empty()) add_link(context.back(), page);
-  counts_.observe_transition(context, page);
-}
-
 std::optional<Prediction> CandidatePathPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  // predict_all(context, 1) ranks the matched context's top (1 + degree)
-  // successors and keeps the best linked one. So the answer is the best
-  // linked successor, provided at most `degree` unlinked ones outrank it.
   if (context.empty()) return std::nullopt;
-  const LinkList* list = links_of(context.back());
-  if (!list) return std::nullopt;
-  const auto* c = counts_.match(context);
-  if (!c) return std::nullopt;
-  const auto& arena = counts_.arena_;
-  std::optional<Prediction> best;
-  for (std::uint32_t e = c->head; e != kNoSlot; e = arena[e].next) {
-    const Prediction p = counts_.prediction(*c, arena[e]);
-    if ((!best || better(p, *best)) && linked(*list, p.page)) best = p;
-  }
-  if (!best || best->confidence < min_confidence) return std::nullopt;
-  std::uint32_t outranked_by = 0;
-  for (std::uint32_t e = c->head; e != kNoSlot; e = arena[e].next)
-    outranked_by += better(counts_.prediction(*c, arena[e]), *best);
-  if (outranked_by > list->size) return std::nullopt;
-  return best;
+  return counts_.best(context, min_confidence, context.back());
 }
 
 std::vector<Prediction> CandidatePathPredictor::predict_all(
     std::span<const trace::FileId> context, std::size_t k) const {
   if (context.empty()) return {};
-  // Candidates are restricted to pages directly linked from the current
-  // page — Algorithm 1's memory-bounding rule.
-  const LinkList* list = links_of(context.back());
-  if (!list) return {};
-  auto preds = counts_.predict_all(context, k + list->size);
-  std::erase_if(preds,
-                [&](const Prediction& p) { return !linked(*list, p.page); });
+  // The current page is at most one of the top k + 1 (saturating) rows.
+  auto preds = counts_.predict_all(context, std::max(k, k + 1));
+  std::erase_if(preds, [&](const Prediction& p) {
+    return p.page == context.back();
+  });
   if (preds.size() > k) preds.resize(k);
   return preds;
-}
-
-void CandidatePathPredictor::save(std::ostream& out) const {
-  out << "candidatepath " << order_ << ' ' << pages_.size() << '\n';
-  std::vector<const LinkList*> ordered;
-  ordered.reserve(pages_.size());
-  for (const LinkList& list : pages_) ordered.push_back(&list);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const LinkList* a, const LinkList* b) {
-              return a->from < b->from;
-            });
-  for (const LinkList* list : ordered) {
-    out << list->from << ' ' << list->size;
-    for (std::uint32_t e = list->head; e != kNoSlot; e = links_[e].next)
-      out << ' ' << links_[e].id;
-    out << '\n';
-  }
-  counts_.save(out);
-}
-
-bool CandidatePathPredictor::load(std::istream& in) {
-  std::string tag;
-  unsigned order = 0;
-  std::size_t n = 0;
-  if (!(in >> tag >> order >> n) || tag != "candidatepath" || order != order_)
-    return false;
-  // Staged: a malformed stream leaves this predictor as it was.
-  CandidatePathPredictor staged(order_);
-  for (std::size_t i = 0; i < n; ++i) {
-    trace::FileId from = 0;
-    std::size_t outdeg = 0;
-    if (!(in >> from >> outdeg)) return false;
-    // A repeated page keeps its first list; links are kept as listed.
-    const auto [slot, inserted] = staged.page_index_.insert(
-        from, static_cast<std::uint32_t>(staged.pages_.size()));
-    if (inserted) staged.pages_.push_back(LinkList{from});
-    for (std::size_t t = 0; t < outdeg; ++t) {
-      trace::FileId to = 0;
-      if (!(in >> to)) return false;
-      if (inserted) staged.append_link(slot, to);
-    }
-  }
-  if (!staged.counts_.load(in)) return false;
-  *this = std::move(staged);
-  return true;
-}
-
-void CandidatePathPredictor::age(double keep_fraction,
-                                 std::uint64_t min_count) {
-  // Link structure is cheap and stable; only the hit counters age.
-  counts_.age(keep_fraction, min_count);
-}
-
-std::vector<std::vector<trace::FileId>> CandidatePathPredictor::candidate_paths(
-    trace::FileId page, std::size_t max_paths) const {
-  // Algorithm 1 (make_candidate_path): depth-bounded DFS along links.
-  std::vector<std::vector<trace::FileId>> out;
-  std::vector<trace::FileId> current;
-  std::function<void(trace::FileId, unsigned)> dfs =
-      [&](trace::FileId at, unsigned depth) {
-        if (out.size() >= max_paths) return;
-        current.push_back(at);
-        const LinkList* list = depth == order_ ? nullptr : links_of(at);
-        if (!list || list->head == kNoSlot) {
-          out.push_back(current);
-        } else {
-          for (std::uint32_t e = list->head; e != kNoSlot;
-               e = links_[e].next) {
-            const trace::FileId next = links_[e].id;
-            if (std::find(current.begin(), current.end(), next) !=
-                current.end())
-              continue;  // avoid cycles
-            dfs(next, depth + 1);
-            if (out.size() >= max_paths) break;
-          }
-        }
-        current.pop_back();
-      };
-  dfs(page, 0);
-  return out;
 }
 
 }  // namespace prord::logmining

@@ -10,17 +10,20 @@
 //  * DependencyGraphPredictor — Padmanabhan/Mogul dependency graph [19]:
 //    order-1 contexts with a lookahead window (B is counted after A if it
 //    appears within the next w views, not only immediately next).
-//  * CandidatePathPredictor — the paper's Algorithms 1 & 2: candidate
-//    paths are enumerated only along *directly linked* pages (bounding the
-//    otherwise O(l^(n+1)) context space), and per-sequence hit counters
-//    select the prefetch page whose confidence clears a threshold.
+//  * CandidatePathPredictor — the paper's Algorithms 1 & 2: a page is a
+//    candidate only if the current page links to it directly, and
+//    per-sequence hit counters select the prefetch page whose confidence
+//    clears a threshold. The links are the transitions the log shows, so
+//    this is the Markov table with one rule: a context never predicts its
+//    own last page.
 //
 // All predictors train on sessions and answer: given the user's recent
 // page sequence, which page comes next and with what confidence?
 //
-// The Markov and candidate-path predictors keep their counters in flat
-// storage (logmining/flat_index.h), so clone() is a few vector copies:
-// the adaptation loop clones the serving predictor at every re-mine.
+// The Markov table (and so the candidate-path predictor) keeps its counters
+// in flat storage (logmining/flat_index.h), so clone() is a few vector
+// copies: the adaptation loop clones the serving predictor at every
+// re-mine.
 #pragma once
 
 #include <cstdint>
@@ -146,6 +149,10 @@ class MarkovPredictor final : public Predictor {
   /// Longest-context-first back-off: the longest suffix of `context` (up
   /// to order_ pages) stored with a nonzero total, or nullptr.
   const Context* match(std::span<const trace::FileId> context) const;
+  /// predict() over the matched context's successors other than `skip`.
+  std::optional<Prediction> best(std::span<const trace::FileId> context,
+                                 double min_confidence,
+                                 std::optional<trace::FileId> skip) const;
   static Prediction prediction(const Context& c, const ArenaEntry& e) {
     return Prediction{e.id,
                       static_cast<double>(e.count) /
@@ -202,62 +209,44 @@ class DependencyGraphPredictor final : public Predictor {
 
 /// The paper's own scheme (Algorithms 1 & 2).
 ///
-/// Candidate paths of length <= `order` are generated only along observed
-/// direct links (Algorithm 1's make_candidate_path), and a per-sequence hit
-/// table accumulates how often each candidate page actually followed
-/// (Algorithm 2's get_prefetch_page). Adjacency is mined from first-order
-/// transitions in the training log, standing in for the site's hyperlink
-/// map the authors read from the server.
+/// Algorithm 1 bounds the context space (otherwise O(l^(n+1))) by admitting
+/// only pages directly linked from the current page, and Algorithm 2's hit
+/// table (hit_candidate_path[sequence][page]) counts how often each
+/// candidate actually followed a sequence. The links are mined from the
+/// same first-order transitions the hit table counts, standing in for the
+/// site's hyperlink map the authors read from the server, and a page does
+/// not link to itself. So the linked candidates of a sequence are its
+/// observed successors other than its last page: the predictor is a Markov
+/// table whose answers skip the current page, and everything but
+/// predict/predict_all forwards to that table.
 class CandidatePathPredictor final : public Predictor {
  public:
-  explicit CandidatePathPredictor(unsigned order);
+  explicit CandidatePathPredictor(unsigned order) : counts_(order) {}
 
-  void observe(std::span<const trace::FileId> pages) override;
+  void observe(std::span<const trace::FileId> pages) override {
+    counts_.observe(pages);
+  }
   void observe_transition(std::span<const trace::FileId> context,
-                          trace::FileId page) override;
+                          trace::FileId page) override {
+    counts_.observe_transition(context, page);
+  }
   std::optional<Prediction> predict(std::span<const trace::FileId> context,
                                     double min_confidence) const override;
   std::vector<Prediction> predict_all(std::span<const trace::FileId> context,
                                       std::size_t k) const override;
-  std::size_t num_entries() const override {
-    return links_.size() + counts_.num_entries();
+  std::size_t num_entries() const override { return counts_.num_entries(); }
+  /// The hit table's text, exactly MarkovPredictor's; MiningModel's kind
+  /// line tells the two apart.
+  void save(std::ostream& out) const override { counts_.save(out); }
+  bool load(std::istream& in) override { return counts_.load(in); }
+  void age(double keep_fraction, std::uint64_t min_count = 0) override {
+    counts_.age(keep_fraction, min_count);
   }
-  void save(std::ostream& out) const override;
-  bool load(std::istream& in) override;
-  void age(double keep_fraction, std::uint64_t min_count = 0) override;
   std::unique_ptr<Predictor> clone() const override {
     return std::make_unique<CandidatePathPredictor>(*this);
   }
 
-  /// Algorithm 1: paths of length <= order starting at `page`, following
-  /// the mined link structure. Exposed for tests and the micro-bench.
-  std::vector<std::vector<trace::FileId>> candidate_paths(
-      trace::FileId page, std::size_t max_paths = 256) const;
-
-  /// Number of pages with a link list (trained pages all have a link).
-  std::size_t num_linked_pages() const noexcept { return pages_.size(); }
-
  private:
-  /// A page's outgoing links, chained through links_ in insertion order.
-  struct LinkList {
-    trace::FileId from = trace::kInvalidFile;
-    std::uint32_t head = kNoSlot;
-    std::uint32_t tail = kNoSlot;
-    std::uint32_t size = 0;
-  };
-
-  void add_link(trace::FileId from, trace::FileId to);
-  /// Appends `to` to the list of page slot `slot`.
-  void append_link(std::uint32_t slot, trace::FileId to);
-  const LinkList* links_of(trace::FileId page) const;
-  bool linked(const LinkList& list, trace::FileId to) const;
-
-  unsigned order_;
-  FlatIndex<trace::FileId> page_index_;  ///< from -> pages_ position
-  std::vector<LinkList> pages_;
-  std::vector<ArenaEntry> links_;  ///< every link; `count` unused
-  // Hit counters keyed by hashed context (suffix up to `order_`), as in
-  // Algorithm 2's hit_candidate_path[sequence][page].
   MarkovPredictor counts_;
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "logmining/mining_model.h"
 #include "trace/generator.h"
@@ -87,15 +89,31 @@ TEST_P(PredictorRoundTrip, LoadRejectsWrongKind) {
   original->observe(Seq{1, 2, 3});
   std::stringstream ss;
   original->save(ss);
-  // Any *other* kind must reject the stream.
+  // The candidate-path predictor writes its hit table in the Markov text,
+  // so a predictor tells only the dependency graph's text apart from its
+  // own; the saved model's kind line separates every pair.
+  std::vector<trace::Request> reqs(3);
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    reqs[i].file = static_cast<trace::FileId>(i + 1);
+  MiningConfig config;
+  config.predictor = GetParam();
+  std::stringstream model;
+  MiningModel(reqs, config).save(model);
+  const auto depgraph = PredictorKind::kDependencyGraph;
   for (const auto other :
        {PredictorKind::kCandidatePath, PredictorKind::kMarkov,
         PredictorKind::kDependencyGraph}) {
     if (other == GetParam()) continue;
-    ss.clear();
-    ss.seekg(0);
-    auto wrong = make_predictor(other, 2);
-    EXPECT_FALSE(wrong->load(ss));
+    if (other == depgraph || GetParam() == depgraph) {
+      ss.clear();
+      ss.seekg(0);
+      auto wrong = make_predictor(other, 2);
+      EXPECT_FALSE(wrong->load(ss));
+    }
+    MiningConfig other_config = config;
+    other_config.predictor = other;
+    std::stringstream text(model.str());
+    EXPECT_FALSE(MiningModel::load(text, other_config).has_value());
   }
 }
 
@@ -292,6 +310,35 @@ TEST(MiningModelRoundTrip, RejectsConfigMismatch) {
   MiningConfig other = config;
   other.predictor = PredictorKind::kMarkov;
   EXPECT_FALSE(MiningModel::load(ss, other).has_value());
+}
+
+// Before the link table was dropped, a candidate-path model wrote a
+// "candidatepath <order> <pages>" link block ahead of its hit table. Such a
+// model is rejected whole, and the predictor it was loaded into keeps its
+// state.
+TEST(MiningModelRoundTrip, RejectsOldCandidatePathFormat) {
+  std::vector<trace::Request> reqs(4);
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    reqs[i].file = static_cast<trace::FileId>(i + 1);
+  MiningConfig config;
+  config.predictor = PredictorKind::kCandidatePath;
+  std::stringstream ss;
+  MiningModel(reqs, config).save(ss);
+  std::string text = ss.str();
+  const std::size_t at = text.find("markov ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "candidatepath 2 3\n1 1 2\n2 1 3\n3 1 4\n");
+  std::stringstream old_model(text);
+  EXPECT_FALSE(MiningModel::load(old_model, config).has_value());
+
+  CandidatePathPredictor p(2);
+  p.observe(Seq{5, 6, 7});
+  const std::size_t before = p.num_entries();
+  std::stringstream old_predictor(text.substr(at));
+  EXPECT_FALSE(p.load(old_predictor));
+  EXPECT_EQ(p.num_entries(), before);
+  ASSERT_TRUE(p.predict(Seq{5, 6}, 0.0));
+  EXPECT_EQ(p.predict(Seq{5, 6}, 0.0)->page, 7u);
 }
 
 TEST(MiningModelRoundTrip, RejectsTruncatedStream) {

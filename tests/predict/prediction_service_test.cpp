@@ -8,6 +8,7 @@
 #include "logmining/mining_model.h"
 #include "predict/prediction_service.h"
 #include "predict/predictor_iface.h"
+#include "util/rng.h"
 
 namespace prord::predict {
 namespace {
@@ -160,6 +161,39 @@ TEST(PredictionService, WarmStartSeedsGraphBackend) {
   for (int round = 0; round < 8; ++round)
     for (FileId f : {FileId{40}, FileId{41}}) link->feed(obs(3, f));
   EXPECT_EQ(model->predictor().num_entries(), entries_before);
+}
+
+TEST(PredictionService, GraphPassHoldsTheMemoryBound) {
+  // A structured walk 0 -> 1 -> ... -> 49 on one connection, mixed with
+  // random transitions among 100k pages on 40 others: the noise alone adds
+  // thousands of entries between passes. Each pass must bring the table
+  // back under the cap, and the stable pattern must survive it.
+  PredictorParams p = graph_params();
+  p.mining_table_rows = 2000;
+  p.mine_interval_us = 1'000;
+  auto service = make_prediction_service(p);
+  auto link = service->register_link();
+  util::Rng rng(9);
+  const std::vector<FileId> context{5};
+  for (std::int64_t pass = 0; pass < 30; ++pass) {
+    const std::int64_t t = pass * 1'000;
+    for (int i = 0; i < 3'000; ++i) {
+      if (i % 3 == 0)
+        link->feed(obs(0, static_cast<FileId>(i / 3 % 50), true, t));
+      else
+        link->feed(obs(1 + static_cast<std::uint32_t>(rng.below(40)),
+                       static_cast<FileId>(1'000 + rng.below(100'000)), true,
+                       t));
+    }
+    // An embedded object at the boundary runs the pass and adds nothing.
+    link->feed(obs(0, 99, /*main_page=*/false, t + 1'000));
+    ASSERT_EQ(service->stats().mine_passes,
+              static_cast<std::uint64_t>(pass + 1));
+    ASSERT_LE(service->stats().mining_rows, 2000u) << "pass " << pass;
+    const auto all = link->associations(context, 1);
+    ASSERT_EQ(all.size(), 1u) << "pass " << pass;
+    EXPECT_EQ(all.front().file, 6u) << "pass " << pass;
+  }
 }
 
 TEST(PredictionService, MithrilSyncLearnsAssociations) {
